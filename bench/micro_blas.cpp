@@ -1,6 +1,6 @@
 // Real wall-clock microbenchmarks (google-benchmark) of the host kernels
 // that execute the simulated device's numerics: BLAS-1/2/3, the panel QR,
-// and SpMV in both formats. These measure THIS machine, not the paper's —
+// and SpMV in both formats (CSR and sliced ELLPACK). These measure THIS machine, not the paper's —
 // they exist to keep the reference kernels honest (vectorization, layout)
 // and to catch performance regressions in the library itself.
 #include <benchmark/benchmark.h>
@@ -11,8 +11,8 @@
 #include "blas/lapack.hpp"
 #include "common/rng.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/ell.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/sell.hpp"
 
 using namespace cagmres;
 
@@ -106,7 +106,7 @@ BENCHMARK(BM_SpmvCsr)->Arg(10)->Arg(40);
 
 void BM_SpmvEll(benchmark::State& state) {
   const auto a = sparse::make_laplace3d(40, 40, static_cast<int>(state.range(0)));
-  const auto e = sparse::to_ell(a);
+  const auto e = sparse::to_sell(a);
   const auto x = random_vec(static_cast<std::size_t>(a.n_rows), 8);
   std::vector<double> y(static_cast<std::size_t>(a.n_rows));
   for (auto _ : state) {

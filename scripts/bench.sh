@@ -30,6 +30,15 @@
 #               A JSON missing a section (e.g. an older baseline written
 #               before that section existed) only warns; the remaining
 #               gates still run.
+#               Then, whether or not those gates passed, the new JSON is
+#               diffed against the committed baseline (git show
+#               HEAD:BENCH_wallclock.json): every simulated-seconds row
+#               that moved is printed with its old and new value, every
+#               wall-seconds row that moved by more than the noise band
+#               (WALL_BAND, 25%) is printed, and the run fails if any
+#               simulated-seconds row increased. Rows are matched by their
+#               identifying fields (solver, workers, ng, nodes, codec,
+#               matrix, precond).
 #
 # Note: the worker-sweep speedup needs real cores. On a single-core machine
 # the sweep still runs (and still checks result identity across worker
@@ -56,9 +65,11 @@ echo
 echo "Wrote $(pwd)/BENCH_wallclock.json"
 
 if [[ "$compare" == 1 ]]; then
+  # Both compare stages always run; the script fails if either did.
+  status=0
   echo
   echo "== compare: event-sync vs barrier-sync charged time =="
-  python3 - BENCH_wallclock.json <<'EOF'
+  python3 - BENCH_wallclock.json <<'EOF' || status=1
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -234,4 +245,70 @@ if pre and capped > 0 and rescued == 0:
         "unpreconditioned charged total on any of them"
     )
 EOF
+  echo
+  echo "== compare: diff against the committed baseline (HEAD) =="
+  if ! git show HEAD:BENCH_wallclock.json > build/BENCH_wallclock.head.json \
+      2>/dev/null; then
+    echo "compare WARNING: no committed BENCH_wallclock.json at HEAD; skipped"
+  else
+    python3 - build/BENCH_wallclock.head.json BENCH_wallclock.json <<'EOF' \
+      || status=1
+import json, sys
+
+WALL_BAND = 0.25  # relative wall-clock noise band on a shared machine
+ID_FIELDS = ("solver", "workers", "ng", "nodes", "codec", "matrix", "precond")
+
+def rows(doc):
+    """Flattens the bench JSON into {(section, row id, field): (kind, value)}
+    for every timing field; kind is "sim" or "wall"."""
+    out = {}
+    for section, body in doc.items():
+        for row in body if isinstance(body, list) else [body]:
+            if not isinstance(row, dict):
+                continue
+            rid = ",".join(f"{k}={row[k]}" for k in ID_FIELDS if k in row)
+            for field, val in row.items():
+                if isinstance(val, bool) or not isinstance(val, (int, float)):
+                    continue
+                if "sim_seconds" in field or "time_lost" in field or (
+                        section == "event_overlap" and field.endswith("_seconds")):
+                    kind = "sim"
+                elif "wall_seconds" in field or (
+                        section == "gram_microbench" and field.endswith("_seconds")):
+                    kind = "wall"
+                else:
+                    continue
+                out[(section, rid, field)] = (kind, val)
+    return out
+
+with open(sys.argv[1]) as f:
+    old = rows(json.load(f))
+with open(sys.argv[2]) as f:
+    new = rows(json.load(f))
+increased = []
+moved = 0
+for key in sorted(old.keys() & new.keys()):
+    kind, a = old[key]
+    b = new[key][1]
+    name = "/".join(k for k in key if k)
+    if kind == "sim" and a != b:
+        moved += 1
+        rel = f"{(b - a) / a:+.2%}" if a else "from 0"
+        print(f"compare sim moved: {name}: {a:.6g} -> {b:.6g} ({rel})")
+        if b > a:
+            increased.append(name)
+    elif kind == "wall" and a > 0 and abs(b - a) / a > WALL_BAND:
+        print(f"compare wall outside +-{WALL_BAND:.0%}: {name}: "
+              f"{a:.6g} -> {b:.6g} ({(b - a) / a:+.2%})")
+for key in sorted(old.keys() ^ new.keys()):
+    where = "baseline" if key in old else "new run"
+    print(f"compare WARNING: row only in {where}: "
+          + "/".join(k for k in key if k))
+print(f"compare: {moved} simulated-seconds rows moved vs HEAD")
+if increased:
+    sys.exit("compare: simulated seconds increased vs HEAD: "
+             + ", ".join(increased))
+EOF
+  fi
+  exit "$status"
 fi

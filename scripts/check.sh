@@ -6,7 +6,9 @@
 # the barrier sync mode, a forced 2-node topology, the compressed-wire
 # codec layer (CAGMRES_COMPRESS), and the ILU preconditioner suite under
 # tsan in both sync modes. Run from anywhere; everything happens
-# relative to the repo root.
+# relative to the repo root. Every ctest call passes --no-tests=error, so a
+# label or -R filter that selects nothing fails the gate instead of
+# passing with zero tests run.
 #
 #   --bench-smoke   additionally run the wall-clock bench at tiny sizes and
 #                   fail unless it produces well-formed BENCH_wallclock.json
@@ -29,19 +31,19 @@ done
 echo "== default preset: configure + build + full test suite =="
 cmake --preset default
 cmake --build --preset default -j
-ctest --preset default -j
+ctest --no-tests=error --preset default -j
 
 echo
 echo "== asan-ubsan preset: configure + build + sanitize-labeled tests =="
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j
-ctest --preset asan-ubsan -j
+ctest --no-tests=error --preset asan-ubsan -j
 
 echo
 echo "== tsan preset: configure + build + tsan-labeled tests (2 workers) =="
 cmake --preset tsan
 cmake --build --preset tsan -j
-ctest --preset tsan -j
+ctest --no-tests=error --preset tsan -j
 
 echo
 echo "== barrier escape hatch: sim/ortho/fault suites, CAGMRES_SYNC_MODE=barrier =="
@@ -51,9 +53,9 @@ echo "== barrier escape hatch: sim/ortho/fault suites, CAGMRES_SYNC_MODE=barrier
 # non-default mode keeps CI coverage and the hatch stays usable.
 # -R before -j: a bare -j greedily consumes the next token as its value.
 CAGMRES_SYNC_MODE=barrier CAGMRES_HOST_WORKERS=2 \
-  ctest --preset default -R '^(sim_test|ortho_test|faults_test|chaos_test)$' -j
+  ctest --no-tests=error --preset default -R '^(sim_test|ortho_test|faults_test|chaos_test)$' -j
 CAGMRES_SYNC_MODE=barrier CAGMRES_HOST_WORKERS=2 \
-  ctest --preset tsan -j
+  ctest --no-tests=error --preset tsan -j
 
 echo
 echo "== multi-node escape hatch: ortho/mpk suites, CAGMRES_TOPOLOGY=2 =="
@@ -62,9 +64,9 @@ echo "== multi-node escape hatch: ortho/mpk suites, CAGMRES_TOPOLOGY=2 =="
 # with the host pool, then again under tsan: the node-leader closures and
 # per-side pack events must stay race-free with workers draining streams.
 CAGMRES_TOPOLOGY=2 CAGMRES_HOST_WORKERS=2 \
-  ctest --preset default -R '^(ortho_test|mpk_test)$' -j
+  ctest --no-tests=error --preset default -R '^(ortho_test|mpk_test)$' -j
 CAGMRES_TOPOLOGY=2 CAGMRES_HOST_WORKERS=2 \
-  ctest --preset tsan -R '^(ortho_test|mpk_test)$' -j
+  ctest --no-tests=error --preset tsan -R '^(ortho_test|mpk_test)$' -j
 
 echo
 echo "== compressed-wire escape hatch: mpk/ortho/fault suites, CAGMRES_COMPRESS =="
@@ -73,9 +75,9 @@ echo "== compressed-wire escape hatch: mpk/ortho/fault suites, CAGMRES_COMPRESS 
 # the quantized wire formats keep CI coverage under the default build and
 # under tsan (codec passes run on device streams the worker pool drains).
 CAGMRES_COMPRESS=halo=fp32,reduce=fp32 CAGMRES_HOST_WORKERS=2 \
-  ctest --preset default -R '^(mpk_test|ortho_test|faults_test)$' -j
+  ctest --no-tests=error --preset default -R '^(mpk_test|ortho_test|faults_test)$' -j
 CAGMRES_COMPRESS=halo=fp32,reduce=fp32 CAGMRES_HOST_WORKERS=2 \
-  ctest --preset tsan -j
+  ctest --no-tests=error --preset tsan -j
 
 echo
 echo "== precond escape hatch: precond suite, both sync modes, tsan =="
@@ -84,9 +86,9 @@ echo "== precond escape hatch: precond suite, both sync modes, tsan =="
 # pool drains, so the suite must stay race-free under tsan with 2 workers
 # in both sync modes — and bit-stable, which the suite itself asserts.
 CAGMRES_HOST_WORKERS=2 \
-  ctest --preset tsan -L precond -j
+  ctest --no-tests=error --preset tsan -L precond -j
 CAGMRES_SYNC_MODE=barrier CAGMRES_HOST_WORKERS=2 \
-  ctest --preset tsan -L precond -j
+  ctest --no-tests=error --preset tsan -L precond -j
 
 echo
 echo "== chaos gate: 64-schedule campaign, both sync modes, default build =="

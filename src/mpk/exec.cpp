@@ -1,6 +1,5 @@
 #include "mpk/exec.hpp"
 
-#include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
@@ -10,25 +9,12 @@ namespace cagmres::mpk {
 
 namespace {
 
-/// Injected transient kernel fault on one of the executor's inline charged
-/// loops (boundary SpMV, fused shift AXPY, halo expand): NaN-poison the
-/// region that loop produced, mirroring sim/device_blas.cpp.
+/// Injected transient kernel fault on the halo expand (an inline charged
+/// loop of the exchange): NaN-poison the slice it produced, mirroring
+/// sim/device_blas.cpp.
 void poison(double* p, int n) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (int i = 0; i < n; ++i) p[i] = nan;
-}
-
-/// Consumer side of the multi-node halo split: bytes of device d's external slice
-/// owned by devices on d's own node — those arrive over the intra-node
-/// link; the rest keeps the host (+network) route.
-double node_local_ext_bytes(const sim::Machine& m, int d,
-                            const std::vector<int>& ext_owner) {
-  const int myn = m.node_of(d);
-  double bytes = 0.0;
-  for (const int o : ext_owner) {
-    if (m.node_of(o) == myn) bytes += 8.0;
-  }
-  return bytes;
 }
 
 }  // namespace
@@ -66,6 +52,7 @@ void MpkExecutor::build_node_split(const sim::Machine& m) {
   const int ng = plan.n_devices();
   send_local_bytes_.assign(static_cast<std::size_t>(ng), 0.0);
   send_cross_bytes_.assign(static_cast<std::size_t>(ng), 0.0);
+  ext_local_bytes_.assign(static_cast<std::size_t>(ng), 0.0);
   // Distinct owned rows each sender ships to same-node vs off-node readers
   // (2-bit marks per owned row; a row read from both sides goes in both
   // messages). Walking every consumer's ext list once is O(plan size).
@@ -82,6 +69,7 @@ void MpkExecutor::build_node_split(const sim::Machine& m) {
       const int o = dp.ext_owner[e];
       const auto r = static_cast<std::size_t>(dp.ext_owner_row[e]);
       const char side = (m.node_of(o) == myn) ? 1 : 2;
+      if (side == 1) ext_local_bytes_[static_cast<std::size_t>(d)] += 8.0;
       char& mk = mark[static_cast<std::size_t>(o)][r];
       if ((mk & side) == 0) {
         mk = static_cast<char>(mk | side);
@@ -147,7 +135,7 @@ void MpkExecutor::exchange(sim::Machine& m, const sim::DistMultiVec& v,
     const int next = static_cast<int>(dp.ext_global.size());
     if (next > 0) {
       if (hier) {
-        const double local = node_local_ext_bytes(m, d, dp.ext_owner);
+        const double local = ext_local_bytes_[static_cast<std::size_t>(d)];
         if (local > 0.0) m.h2d_node(d, cd.wire_bytes(local / 8.0), local);
         if (8.0 * next > local) {
           m.h2d(d, cd.wire_bytes(next - local / 8.0), 8.0 * next - local);
@@ -268,7 +256,7 @@ void MpkExecutor::exchange_events(sim::Machine& m, const sim::DistMultiVec& v,
     }
     m.charge_host(sim::Kernel::kCopy, 0.0, 16.0 * next);
     if (hier) {
-      const double local = node_local_ext_bytes(m, d, dp.ext_owner);
+      const double local = ext_local_bytes_[static_cast<std::size_t>(d)];
       if (local > 0.0) m.h2d_node(d, cd.wire_bytes(local / 8.0), local);
       if (8.0 * next > local) {
         m.h2d(d, cd.wire_bytes(next - local / 8.0), 8.0 * next - local);
@@ -312,113 +300,59 @@ void MpkExecutor::apply(sim::Machine& m, sim::DistMultiVec& v, int c0,
                   "steps must be in [1, plan.s]");
   CAGMRES_REQUIRE(c0 >= 0 && c0 + steps < v.cols(), "column range overflow");
   CAGMRES_REQUIRE(v.n_parts() == plan.n_devices(), "layout mismatch");
-  sim::PhaseScope phase(m, "mpk");
-  // The complex-pair check below can throw mid-loop with device closures
-  // still parked on the streams (reading z_ and v); drain on unwind so the
-  // caller's fault handler never races a stale SpMV during rollback.
-  sim::UnwindDrainGuard unwind_guard(m);
   const int ng = plan.n_devices();
-
   for (int d = 0; d < ng; ++d) {
-    CAGMRES_REQUIRE(v.local_rows(d) == plan.dev[static_cast<std::size_t>(d)].owned,
-                    "multivector rows do not match the plan");
+    CAGMRES_REQUIRE(
+        v.local_rows(d) == plan.dev[static_cast<std::size_t>(d)].owned,
+        "multivector rows do not match the plan");
   }
+  // Validate the whole shift sequence before anything is charged or
+  // enqueued: a rejected call leaves the clock and every column untouched.
+  for (int k = 1; shifts.im != nullptr && k <= steps; ++k) {
+    CAGMRES_REQUIRE(!(shifts.im[k - 1] < 0.0) ||
+                        (k >= 2 && shifts.im[k - 2] > 0.0),
+                    "complex pair straddles the MPK call boundary");
+  }
+  sim::PhaseScope phase(m, "mpk");
+  // A charge can still throw below (device kill, watchdog) with closures
+  // parked on the streams reading z_ and v; drain on unwind so the caller's
+  // fault handler never races a stale kernel during rollback.
+  sim::UnwindDrainGuard unwind_guard(m);
+
   // Slot 0 holds the starting vector (z^(d,1) of Fig. 4).
   exchange(m, v, c0, /*slot=*/0);
 
   for (int k = 1; k <= steps; ++k) {
-    const double theta = (shifts.re != nullptr) ? shifts.re[k - 1] : 0.0;
     const bool pair_second =
         (shifts.im != nullptr) && (shifts.im[k - 1] < 0.0);
-    CAGMRES_REQUIRE(!pair_second || (k >= 2 && shifts.im[k - 2] > 0.0),
-                    "complex pair straddles the MPK call boundary");
-    const double beta2 =
-        pair_second ? shifts.im[k - 2] * shifts.im[k - 2] : 0.0;
+    sparse::SellEpilogue ep;
+    ep.theta = (shifts.re != nullptr) ? shifts.re[k - 1] : 0.0;
+    ep.beta2 = pair_second ? shifts.im[k - 2] * shifts.im[k - 2] : 0.0;
 
     for (int d = 0; d < ng; ++d) {
       const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
       auto& bufs = z_[static_cast<std::size_t>(d)];
-      const std::vector<double>& zin =
-          bufs[static_cast<std::size_t>((k - 1) % 3)];
-      std::vector<double>& zout = bufs[static_cast<std::size_t>(k % 3)];
-      const std::vector<double>& zprev2 =
-          bufs[static_cast<std::size_t>((k + 1) % 3)];  // two steps back
+      const double* zin = bufs[static_cast<std::size_t>((k - 1) % 3)].data();
+      double* zout = bufs[static_cast<std::size_t>(k % 3)].data();
+      // Two steps back: the complex pair's second member reads it.
+      ep.x2 = pair_second ? bufs[static_cast<std::size_t>((k + 1) % 3)].data()
+                          : nullptr;
 
-      // Local block multiply (the reused A^(d), ELLPACK on the device).
-      if (plan.use_ell) {
-        sim::dev_spmv_ell(m, d, dp.local_ell, zin.data(), zout.data());
-      } else {
-        sim::dev_spmv_csr(m, d, dp.local_csr, zin.data(), zout.data());
-      }
+      // One fused kernel for the owned rows: the local block multiply (the
+      // reused A^(d)), the Newton shift, and the store of the result as the
+      // next basis column (Fig. 4 last line).
+      ep.store = v.col(d, c0 + k);
+      sim::dev_spmv_sell(m, d, dp.local, dp.owned, zin, zout, ep);
 
-      // Boundary rows this step still has to produce (hop <= s-k prefix).
-      // Charged here, computed on the device's stream: the closure reads
-      // zin (finished earlier on the same in-order stream) and writes zout
-      // positions disjoint from the local-block SpMV ahead of it.
+      // Boundary rows this step still has to produce (the hop <= s-k
+      // prefix), shifted in the same pass; they live only in z, at
+      // positions disjoint from the owned rows the kernel ahead wrote.
       const int brows =
           dp.boundary_rows_at_step[static_cast<std::size_t>(k) - 1];
       if (brows > 0) {
-        const double bnnz = static_cast<double>(
-            dp.boundary.row_ptr[static_cast<std::size_t>(brows)]);
-        m.charge_device(d, sim::Kernel::kSpmvCsr, 2.0 * bnnz,
-                        bnnz * 20.0 + 12.0 * brows);
-        const bool hit = m.consume_kernel_fault(d);
-        const MpkDevicePlan* dpp = &dp;
-        const double* zi = zin.data();
-        double* zo = zout.data();
-        m.run_on_device(d, [=] {
-          const auto& b = dpp->boundary;
-#pragma omp parallel for schedule(static) if (brows > 1 << 10)
-          for (int i = 0; i < brows; ++i) {
-            double acc = 0.0;
-            const auto lo = b.row_ptr[static_cast<std::size_t>(i)];
-            const auto hi = b.row_ptr[static_cast<std::size_t>(i) + 1];
-            for (auto p = lo; p < hi; ++p) {
-              acc += b.vals[static_cast<std::size_t>(p)] *
-                     zi[b.col_idx[static_cast<std::size_t>(p)]];
-            }
-            zo[dpp->boundary_out_pos[static_cast<std::size_t>(i)]] = acc;
-          }
-          if (hit) {
-            for (int i = 0; i < brows; ++i) {
-              zo[dpp->boundary_out_pos[static_cast<std::size_t>(i)]] =
-                  std::numeric_limits<double>::quiet_NaN();
-            }
-          }
-        });
+        ep.store = nullptr;
+        sim::dev_spmv_sell(m, d, dp.boundary, brows, zin, zout, ep);
       }
-
-      // Newton shift: zout -= theta * zin on every computed position
-      // (owned rows plus the boundary prefix), fused into one AXPY charge.
-      if (theta != 0.0 || pair_second) {
-        const double rows = static_cast<double>(dp.owned + brows);
-        m.charge_device(d, sim::Kernel::kAxpy,
-                        (pair_second ? 4.0 : 2.0) * rows,
-                        (pair_second ? 4.0 : 3.0) * 8.0 * rows);
-        const bool hit = m.consume_kernel_fault(d);
-        const MpkDevicePlan* dpp = &dp;
-        const int owned = dp.owned;
-        const double* zi = zin.data();
-        const double* zp2 = zprev2.data();
-        double* zo = zout.data();
-        m.run_on_device(d, [=] {
-#pragma omp parallel for schedule(static) if (owned > 1 << 13)
-          for (int i = 0; i < owned; ++i) {
-            zo[i] -= theta * zi[i];
-            if (pair_second) zo[i] += beta2 * zp2[i];
-          }
-          for (int i = 0; i < brows; ++i) {
-            const int pos =
-                dpp->boundary_out_pos[static_cast<std::size_t>(i)];
-            zo[pos] -= theta * zi[pos];
-            if (pair_second) zo[pos] += beta2 * zp2[pos];
-          }
-          if (hit) poison(zo, owned);
-        });
-      }
-
-      // Store the owned part as the next basis column (Fig. 4 last line).
-      sim::dev_copy(m, d, dp.owned, zout.data(), v.col(d, c0 + k));
     }
   }
 }
@@ -440,11 +374,7 @@ void MpkExecutor::spmv(sim::Machine& m, const sim::DistMultiVec& x, int xcol,
   for (int d = 0; d < ng; ++d) {
     const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
     const double* zin = z_[static_cast<std::size_t>(d)][0].data();
-    if (plan.use_ell) {
-      sim::dev_spmv_ell(m, d, dp.local_ell, zin, y.col(d, ycol));
-    } else {
-      sim::dev_spmv_csr(m, d, dp.local_csr, zin, y.col(d, ycol));
-    }
+    sim::dev_spmv_sell(m, d, dp.local, dp.owned, zin, y.col(d, ycol));
   }
 }
 

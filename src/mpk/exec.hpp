@@ -19,7 +19,8 @@ namespace cagmres::mpk {
 /// Newton-basis shift sequence; null pointers mean the monomial basis.
 /// re/im must hold at least `steps` entries; a complex conjugate pair
 /// occupies two adjacent slots (im > 0 then im < 0) and must not straddle
-/// an apply() boundary (core::prepare_block_shifts enforces this).
+/// an apply() boundary (core::prepare_block_shifts enforces this; apply()
+/// rejects a straddling sequence before charging anything).
 struct ShiftSeq {
   const double* re = nullptr;
   const double* im = nullptr;
@@ -33,8 +34,9 @@ class MpkExecutor {
   const MpkPlan& plan() const { return *plan_; }
 
   /// Generates v(:, c0+1 .. c0+steps) from v(:, c0). Requires
-  /// steps <= plan.s and c0 + steps < v.cols(). Charges all kernels and the
-  /// exchange to `machine` under phase "mpk".
+  /// steps <= plan.s and c0 + steps < v.cols(). Charges the exchange and
+  /// one fused kernel per step and device (plus one per step with boundary
+  /// rows) to `machine` under phase "mpk".
   void apply(sim::Machine& machine, sim::DistMultiVec& v, int c0, int steps,
              ShiftSeq shifts = {});
 
@@ -63,9 +65,9 @@ class MpkExecutor {
   void exchange_events(sim::Machine& machine, const sim::DistMultiVec& v,
                        int c0, int slot);
 
-  /// Rebuilds the per-sender node split (send_local_bytes_ /
-  /// send_cross_bytes_) if the machine's topology changed since the last
-  /// exchange. No-op on a flat machine.
+  /// Rebuilds the node split (send_local_bytes_, send_cross_bytes_,
+  /// ext_local_bytes_) if the machine's topology changed since the last
+  /// exchange. Only called on a multi-node machine.
   void build_node_split(const sim::Machine& machine);
 
   const MpkPlan* plan_;
@@ -82,6 +84,10 @@ class MpkExecutor {
   // A row read from both sides counts in both — two honest messages.
   std::vector<double> send_local_bytes_;
   std::vector<double> send_cross_bytes_;
+  // Consumer side of the split: bytes of each device's external slice owned
+  // by devices on its own node. Those arrive over the intra-node link; the
+  // rest keeps the host (+network) route.
+  std::vector<double> ext_local_bytes_;
   int split_nodes_ = 0;  ///< topology key the split was built for
   int split_gpn_ = 0;
 };

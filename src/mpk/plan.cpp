@@ -25,7 +25,7 @@ int owner_of(const std::vector<int>& offsets, int row) {
 }  // namespace
 
 MpkPlan build_mpk_plan(const sparse::CsrMatrix& a,
-                       const std::vector<int>& offsets, int s, bool use_ell) {
+                       const std::vector<int>& offsets, int s) {
   CAGMRES_REQUIRE(a.n_rows == a.n_cols, "MPK needs a square matrix");
   CAGMRES_REQUIRE(offsets.size() >= 2 && offsets.front() == 0 &&
                       offsets.back() == a.n_rows,
@@ -36,7 +36,6 @@ MpkPlan build_mpk_plan(const sparse::CsrMatrix& a,
 
   MpkPlan plan;
   plan.s = s;
-  plan.use_ell = use_ell;
   plan.offsets = offsets;
   plan.dev.resize(static_cast<std::size_t>(ng));
   plan.stats.s = s;
@@ -120,19 +119,17 @@ MpkPlan build_mpk_plan(const sparse::CsrMatrix& a,
         }
       }
       plan.stats.local_nnz[static_cast<std::size_t>(d)] = local.nnz();
-      if (use_ell) dp.local_ell = sparse::to_ell(local);
-      dp.local_csr = std::move(local);
+      dp.local = sparse::to_sell(local);
     }
 
     // Boundary submatrix: rows at hops 1..s-1, hop order. Step k multiplies
-    // the prefix of rows with hop <= s-k.
+    // the prefix of rows with hop <= s-k; each hop is one slicing group.
     {
       std::vector<int> brow_global;
       std::vector<int> rows_with_hop_le(static_cast<std::size_t>(s), 0);
       for (int t = 1; t <= s - 1; ++t) {
         for (const int g : bs.hops[static_cast<std::size_t>(t) - 1]) {
           brow_global.push_back(g);
-          dp.boundary_out_pos.push_back(loc[static_cast<std::size_t>(g)]);
         }
         rows_with_hop_le[static_cast<std::size_t>(t)] =
             static_cast<int>(brow_global.size());
@@ -180,7 +177,13 @@ MpkPlan build_mpk_plan(const sparse::CsrMatrix& a,
         w += 2.0 * static_cast<double>(b.row_ptr[static_cast<std::size_t>(rows)]);
       }
       plan.stats.extra_flops[static_cast<std::size_t>(d)] = w;
-      dp.boundary = std::move(b);
+      dp.boundary = sparse::to_sell(
+          b, {rows_with_hop_le.begin() + 1, rows_with_hop_le.end()});
+      // Scatter each result straight to its row's z-buffer position.
+      for (int& r : dp.boundary.row) {
+        const int g = brow_global[static_cast<std::size_t>(r)];
+        r = loc[static_cast<std::size_t>(g)];
+      }
     }
 
     plan.stats.ext_count[static_cast<std::size_t>(d)] =

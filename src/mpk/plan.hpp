@@ -3,9 +3,11 @@
 //
 // For each device the plan holds (all in a device-local index space where
 // owned rows come first, followed by external indices in hop order):
-//  - the local block A^(d) (owned rows) in ELLPACK for the device SpMV;
-//  - the boundary submatrix (rows at hop 1..s-1) as one CSR whose rows are
-//    sorted by hop, so the rows step k must multiply are exactly a prefix;
+//  - the local block A^(d) (owned rows) in sliced ELLPACK (SELL-C-sigma)
+//    for the device SpMV;
+//  - the boundary submatrix (rows at hop 1..s-1) in the same format, its
+//    rows grouped by hop and its slices never crossing a hop group, so the
+//    rows step k must multiply are exactly a prefix of whole slices;
 //  - the gather/scatter index lists for the one-shot halo exchange.
 // The same plan with s=1 implements the baseline distributed SpMV.
 #pragma once
@@ -15,7 +17,7 @@
 
 #include "mpk/stats.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/ell.hpp"
+#include "sparse/sell.hpp"
 
 namespace cagmres::mpk {
 
@@ -31,15 +33,13 @@ struct MpkDevicePlan {
   /// Row offset of each external index within its owner's block.
   std::vector<int> ext_owner_row;
 
-  sparse::EllMatrix local_ell;  ///< owned rows, device-local column indices
-  sparse::CsrMatrix local_csr;  ///< same block in CSR (host/CSR-profile path)
+  sparse::SellMatrix local;  ///< owned rows, device-local column indices
 
-  /// Boundary rows (hops 1..s-1) in hop order, device-local columns.
-  sparse::CsrMatrix boundary;
-  /// z-buffer position each boundary row's result is scattered to.
-  std::vector<int> boundary_out_pos;
+  /// Boundary rows (hops 1..s-1) grouped by hop, device-local columns; each
+  /// stored row's output index (SellMatrix::row) is its z-buffer position.
+  sparse::SellMatrix boundary;
   /// boundary_rows_at_step[k-1]: how many leading boundary rows step k
-  /// multiplies (rows of hop <= s-k).
+  /// multiplies (rows of hop <= s-k; always a whole number of slices).
   std::vector<int> boundary_rows_at_step;
 
   /// Owned-local row indices that any other device needs (the pack list for
@@ -55,7 +55,6 @@ struct MpkDevicePlan {
 /// A complete s-step matrix powers plan over all devices.
 struct MpkPlan {
   int s = 1;
-  bool use_ell = true;
   std::vector<int> offsets;  ///< block-row offsets, size n_devices + 1
   std::vector<MpkDevicePlan> dev;
   MpkStats stats;
@@ -69,7 +68,6 @@ struct MpkPlan {
 /// with `s` powers per invocation. `a` must already be permuted so that the
 /// device blocks are contiguous (see graph::make_partition).
 MpkPlan build_mpk_plan(const sparse::CsrMatrix& a,
-                       const std::vector<int>& offsets, int s,
-                       bool use_ell = true);
+                       const std::vector<int>& offsets, int s);
 
 }  // namespace cagmres::mpk

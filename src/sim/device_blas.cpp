@@ -259,30 +259,26 @@ void dev_qr_explicit(Machine& m, int d, const blas::DMat& v, blas::DMat& q,
   if (hit) poison_panel(q.data(), q.rows(), q.cols(), q.ld());
 }
 
-void dev_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a,
-                  const double* x, double* y) {
-  const double slots = static_cast<double>(a.stored_slots());
-  // 8B value + 4B index + 8B gathered x per slot, plus the result vector.
-  m.charge_device(d, Kernel::kSpmvEll, 2.0 * slots,
-                  slots * 20.0 + kW * a.n_rows);
+void dev_spmv_sell(Machine& m, int d, const sparse::SellMatrix& a, int rows,
+                   const double* x, double* y, const sparse::SellEpilogue& ep) {
+  const double slots = static_cast<double>(a.slots_of_prefix(rows));
+  const double operands =
+      (ep.shifted() ? 1.0 : 0.0) + (ep.x2 != nullptr ? 1.0 : 0.0);
+  const double outputs = ep.store != nullptr ? 2.0 : 1.0;
+  m.charge_device(d, Kernel::kSpmvEll, 2.0 * slots + 2.0 * operands * rows,
+                  slots * 20.0 + (4.0 + kW * (operands + outputs)) * rows);
   const bool hit = m.consume_kernel_fault(d);
-  const sparse::EllMatrix* ap = &a;
+  const sparse::SellMatrix* ap = &a;
   m.run_on_device(d, [=] {
-    sparse::spmv(*ap, x, y);
-    if (hit) poison(y, ap->n_rows);
-  });
-}
-
-void dev_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a,
-                  const double* x, double* y) {
-  const double nnz = static_cast<double>(a.nnz());
-  m.charge_device(d, Kernel::kSpmvCsr, 2.0 * nnz,
-                  nnz * 20.0 + 12.0 * a.n_rows);
-  const bool hit = m.consume_kernel_fault(d);
-  const sparse::CsrMatrix* ap = &a;
-  m.run_on_device(d, [=] {
-    sparse::spmv(*ap, x, y);
-    if (hit) poison(y, ap->n_rows);
+    sparse::spmv(*ap, rows, x, y, ep);
+    if (hit) {
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      for (int p = 0; p < rows; ++p) {
+        const int r = ap->row[static_cast<std::size_t>(p)];
+        y[r] = nan;
+        if (ep.store != nullptr) ep.store[r] = nan;
+      }
+    }
   });
 }
 

@@ -11,8 +11,7 @@
 
 #include "blas/matrix.hpp"
 #include "sim/machine.hpp"
-#include "sparse/csr.hpp"
-#include "sparse/ell.hpp"
+#include "sparse/sell.hpp"
 
 namespace cagmres::sim {
 
@@ -89,13 +88,17 @@ void dev_trsm(Machine& m, int d, int rows, int k, const double* r, int ldr,
 void dev_qr_explicit(Machine& m, int d, const blas::DMat& v, blas::DMat& q,
                      blas::DMat& r);
 
-/// y := A x for a device-resident ELLPACK block.
-void dev_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a,
-                  const double* x, double* y);
-
-/// y := A x for a device-resident CSR block.
-void dev_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a,
-                  const double* x, double* y);
+/// The fused sliced SpMV on device d: the first `rows` stored rows of `a`
+/// (a whole number of slices) with the epilogue `ep` (shift and optional
+/// second output, see sparse::SellEpilogue), in one kernel. Charged under
+/// Kernel::kSpmvEll as one launch plus 20 B per stored slot (8 B value,
+/// 4 B index, 8 B gathered x) plus, per row, the bytes it actually moves:
+/// the 4 B output index, 8 B per shift operand read (x[r], x2[r]) and 8 B
+/// per output written (y, store). A kernel-NaN fault poisons every output
+/// the kernel writes.
+void dev_spmv_sell(Machine& m, int d, const sparse::SellMatrix& a, int rows,
+                   const double* x, double* y,
+                   const sparse::SellEpilogue& ep = {});
 
 /// out[i] := x[idx[i]] — gather (compress) kernel used by MPK and the
 /// reduction paths to pack boundary elements into a contiguous send buffer.

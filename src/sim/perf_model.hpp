@@ -31,7 +31,7 @@ enum class Kernel {
   kGemm,        ///< BLAS-3 tall-skinny matrix-matrix (Gram, block updates)
   kTrsm,        ///< triangular solve against a tall panel
   kGeqrf,       ///< local Householder QR (BLAS-1/2 bound; CAQR leaf)
-  kSpmvEll,     ///< sparse matrix-vector, ELLPACK layout
+  kSpmvEll,     ///< sparse matrix-vector, sliced ELLPACK (SELL-C-sigma)
   kSpmvCsr,     ///< sparse matrix-vector, CSR layout
   kPack,        ///< gather/scatter of indexed vector elements
   kSmall,       ///< tiny O(s^2)-O(s^3) device work (norm fixups etc.)
@@ -59,7 +59,7 @@ struct PerfModel {
   double dot_peak = 30e9;              ///< DDOT (bandwidth bound in practice)
   double trsm_peak = 40e9;             ///< MAGMA DTRSM on tall panels
   double geqrf_peak = 9e9;             ///< panel QR (BLAS-1/2 bound)
-  double spmv_bw = 120e9;              ///< effective ELLPACK SpMV streaming
+  double spmv_bw = 120e9;              ///< effective sliced-ELLPACK SpMV streaming
 
   // --- host (two 8-core Sandy Bridge + MKL, Fig. 11's MKL curves) ---
   double cpu_gemm_peak = 70e9;         ///< MKL tall-skinny DGEMM flop/s

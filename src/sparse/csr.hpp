@@ -1,8 +1,8 @@
 // Compressed sparse row storage — the library's canonical sparse format.
 //
 // CSR is what the host (CPU) side of the paper uses for SpMV; the device
-// side prefers ELLPACK (see ell.hpp). Row pointers are 64-bit so matrices
-// at the paper's nlpkkt120 scale (~95M nonzeros) are representable.
+// side uses sliced ELLPACK (see sell.hpp). Row pointers are 64-bit so
+// matrices at the paper's nlpkkt120 scale (~95M nonzeros) are representable.
 #pragma once
 
 #include <cstdint>

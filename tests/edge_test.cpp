@@ -19,7 +19,7 @@
 #include "ortho/tsqr.hpp"
 #include "sim/machine.hpp"
 #include "sparse/coo.hpp"
-#include "sparse/ell.hpp"
+#include "sparse/sell.hpp"
 #include "sparse/generators.hpp"
 
 #include "codec_tol.hpp"
@@ -75,12 +75,12 @@ TEST(BlasEdge, GivensWithZeroColumnMakesSolveThrow) {
   EXPECT_THROW(ls.solve(), Error);
 }
 
-TEST(SparseEdge, SingleRowMatrixAndEll) {
+TEST(SparseEdge, SingleRowMatrixAndSell) {
   sparse::CooBuilder b(1, 1);
   b.add(0, 0, 2.0);
   const sparse::CsrMatrix a = b.build();
   a.validate();
-  const sparse::EllMatrix e = sparse::to_ell(a);
+  const sparse::SellMatrix e = sparse::to_sell(a);
   const double x = 3.0;
   double y = 0.0;
   sparse::spmv(e, &x, &y);
@@ -98,7 +98,7 @@ TEST(SparseEdge, EmptyRowsSurvivePipeline) {
   const sparse::CsrMatrix a = b.build();
   a.validate();
   EXPECT_EQ(a.row_nnz(1), 0);
-  const sparse::EllMatrix e = sparse::to_ell(a);
+  const sparse::SellMatrix e = sparse::to_sell(a);
   std::vector<double> x = {1, 2, 3, 4}, y1(4), y2(4);
   sparse::spmv(a, x.data(), y1.data());
   sparse::spmv(e, x.data(), y2.data());

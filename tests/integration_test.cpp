@@ -2,6 +2,7 @@
 // substrates together — MPK feeding TSQR, the Hessenberg recovery against
 // an explicitly computed A*Q, solver equivalence across data layouts, and
 // clock/counter consistency across whole solves.
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -20,7 +21,9 @@
 #include "ortho/metrics.hpp"
 #include "ortho/tsqr.hpp"
 #include "sim/device_blas.hpp"
+#include "sim/fault.hpp"
 #include "sim/machine.hpp"
+#include "sim/trace.hpp"
 #include "sparse/generators.hpp"
 
 #include "codec_tol.hpp"
@@ -232,35 +235,142 @@ TEST(Equivalence, SolutionIndependentOfOrdering) {
   }
 }
 
-TEST(Equivalence, EllAndCsrDevicePathsAgree) {
+/// The fused sliced MPK against an unfused host reference: a CSR SpMV of
+/// the whole matrix, then the Newton shift as a separate pass. Each row
+/// accumulates in CSR order on both sides, so every basis column must match
+/// bitwise in every sync mode, worker count and topology.
+TEST(Equivalence, FusedSlicedMpkMatchesUnfusedHostReferenceBitwise) {
   const sparse::CsrMatrix a = sparse::make_cant_like(0.1);
-  const std::vector<int> offsets = {0, a.n_rows / 3, a.n_rows};
-  const mpk::MpkPlan plan_ell = mpk::build_mpk_plan(a, offsets, 3, true);
-  const mpk::MpkPlan plan_csr = mpk::build_mpk_plan(a, offsets, 3, false);
-  Machine m1(2), m2(2);
-  DistMultiVec v1(plan_ell.rows_per_device(), 4);
+  const int n = a.n_rows;
+  const int s = 5;
+  struct Shifts {
+    const char* name;
+    std::vector<double> re, im;
+  };
+  const std::vector<Shifts> bases = {
+      {"monomial", {}, {}},
+      {"real", {1.5, -0.7, 0.3, 0.9, -1.1}, {0, 0, 0, 0, 0}},
+      {"pair", {0.5, 1.0, 1.0, -0.2, 0.3}, {0, 0.8, -0.8, 0, 0}}};
   Rng rng(7);
-  for (int d = 0; d < 2; ++d) {
-    for (int i = 0; i < v1.local_rows(d); ++i) v1.col(d, 0)[i] = rng.normal();
-  }
-  DistMultiVec v2 = v1;
-  // Named executors: their z scratch buffers must outlive the enqueued
-  // kernels (a temporary would be destroyed before the streams drain).
-  mpk::MpkExecutor exec_ell(plan_ell), exec_csr(plan_csr);
-  exec_ell.apply(m1, v1, 0, 3);
-  exec_csr.apply(m2, v2, 0, 3);
-  m1.sync();  // the host compares the two bases below
-  m2.sync();
-  for (int d = 0; d < 2; ++d) {
-    for (int k = 1; k <= 3; ++k) {
-      for (int i = 0; i < v1.local_rows(d); ++i) {
-        EXPECT_NEAR(v1.col(d, k)[i], v2.col(d, k)[i], 1e-12);
+  std::vector<double> x0(static_cast<std::size_t>(n));
+  for (auto& e : x0) e = rng.normal();
+
+  for (const Shifts& sh : bases) {
+    // Host reference, one step at a time.
+    std::vector<std::vector<double>> ref(static_cast<std::size_t>(s) + 1);
+    ref[0] = x0;
+    for (int k = 1; k <= s; ++k) {
+      auto& out = ref[static_cast<std::size_t>(k)];
+      const auto& in = ref[static_cast<std::size_t>(k) - 1];
+      out.resize(static_cast<std::size_t>(n));
+      sparse::spmv(a, in.data(), out.data());
+      if (sh.re.empty()) continue;
+      const double theta = sh.re[static_cast<std::size_t>(k) - 1];
+      const bool pair = sh.im[static_cast<std::size_t>(k) - 1] < 0.0;
+      const double im = pair ? sh.im[static_cast<std::size_t>(k) - 2] : 0.0;
+      for (int i = 0; i < n; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        out[u] -= theta * in[u];
+        if (pair) out[u] += im * im * ref[static_cast<std::size_t>(k) - 2][u];
+      }
+    }
+    for (const sim::Topology topo : {sim::Topology{1, 3}, sim::Topology{2, 2}}) {
+      const int ng = topo.n_devices();
+      std::vector<int> offsets;
+      for (int d = 0; d <= ng; ++d) offsets.push_back(n * d / ng);
+      const mpk::MpkPlan plan = mpk::build_mpk_plan(a, offsets, s);
+      for (const sim::SyncMode mode :
+           {sim::SyncMode::kEvent, sim::SyncMode::kBarrier}) {
+        for (const int workers : {0, 2}) {
+          Machine m(topo);
+          m.set_codec(sim::TrafficClass::kHalo, sim::CodecSpec{});
+          m.set_sync_mode(mode);
+          m.set_host_workers(workers);
+          mpk::MpkExecutor exec(plan);
+          DistMultiVec v(plan.rows_per_device(), s + 1);
+          for (int d = 0; d < ng; ++d) {
+            std::copy_n(x0.begin() + offsets[static_cast<std::size_t>(d)],
+                        v.local_rows(d), v.col(d, 0));
+          }
+          const mpk::ShiftSeq seq =
+              sh.re.empty() ? mpk::ShiftSeq{}
+                            : mpk::ShiftSeq{sh.re.data(), sh.im.data()};
+          exec.apply(m, v, 0, s, seq);
+          m.sync();  // the host reads the basis below
+          for (int k = 1; k <= s; ++k) {
+            const std::vector<double> got = gather_col(v, k);
+            int mismatches = 0;
+            for (int i = 0; i < n; ++i) {
+              // == treats +0 and -0 as equal.
+              if (!(got[static_cast<std::size_t>(i)] ==
+                    ref[static_cast<std::size_t>(k)][static_cast<std::size_t>(i)])) {
+                ++mismatches;
+              }
+            }
+            EXPECT_EQ(mismatches, 0)
+                << sh.name << " " << topo.n_nodes << "x" << topo.gpus_per_node
+                << (mode == sim::SyncMode::kEvent ? " event" : " barrier")
+                << " workers=" << workers << " k=" << k;
+          }
+        }
       }
     }
   }
-  // The device model prices CSR traversal above ELLPACK (the reason the
-  // paper uses ELLPACK on GPUs).
-  EXPECT_LT(m1.clock().elapsed(), m2.clock().elapsed());
+}
+
+/// A kernel NaN landing in the fused MPK kernel poisons the basis column it
+/// stores, so the block scrub catches it and replays the block.
+TEST(FusedMpk, KernelNanInFusedKernelIsScrubbedByBlockReplay) {
+  const sparse::CsrMatrix a = sparse::make_laplace2d(24, 24, 0.1, 0.02);
+  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
+  const core::Problem p =
+      core::make_problem(a, b, 3, graph::Ordering::kNatural, true, 1);
+  core::SolverOptions opts;
+  opts.m = 30;
+  opts.s = 6;
+  opts.tol = 1e-6;
+  opts.max_restarts = 400;
+  const int victim = 1;
+  sim::FaultEvent nan;
+  nan.kind = sim::FaultKind::kKernelNan;
+  nan.device = victim;
+
+  // An armed run whose only event never fires: the same op sequence as the
+  // faulted run, so the victim's op count at its first fused MPK kernel is
+  // its count of charged operations (kernels and transfers) up to there.
+  std::int64_t op = 0;
+  {
+    Machine machine(3);
+    sim::FaultEvent never = nan;
+    never.at_op = std::int64_t{1} << 50;
+    machine.fault_injector().schedule(never);
+    machine.enable_trace(true);
+    core::ca_gmres(machine, p, opts);
+    for (const sim::TraceEvent& e : machine.trace().events()) {
+      // Event record/wait markers are instants, not charged operations.
+      if (e.device != victim || e.name.rfind("event:", 0) == 0) continue;
+      ++op;
+      if (e.name == "spmv_ell" && e.phase == "mpk") break;
+    }
+  }
+  Machine machine(3);
+  nan.at_op = op;
+  machine.fault_injector().schedule(nan);
+  machine.enable_trace(true);
+  const core::SolveResult res = core::ca_gmres(machine, p, opts);
+  const auto& ev = machine.trace().events();
+  const auto it = std::find_if(ev.begin(), ev.end(), [](const sim::TraceEvent& e) {
+    return e.name == "fault:nan";
+  });
+  ASSERT_NE(it, ev.end());
+  ASSERT_NE(it + 1, ev.end());
+  EXPECT_EQ((it + 1)->name, "spmv_ell");
+  EXPECT_EQ((it + 1)->phase, "mpk");
+  EXPECT_EQ(res.stats.recovery.kernel_faults, 1);
+  EXPECT_GE(res.stats.recovery.blocks_replayed, 1);
+  EXPECT_TRUE(res.stats.converged);
+  EXPECT_LT(core::true_residual(a, b, res.x) / blas::nrm2(a.n_rows, b.data()),
+            1e-5);
 }
 
 TEST(Accounting, PhaseTimesPartitionTheTotal) {

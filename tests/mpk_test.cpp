@@ -1,6 +1,7 @@
 // Unit + property tests for the matrix powers kernel (paper §IV):
 // boundary sets, plan construction, execution vs. repeated SpMV, Newton
 // shifts with complex pairs, and the communication statistics.
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include "mpk/boundary.hpp"
 #include "mpk/exec.hpp"
 #include "mpk/plan.hpp"
+#include "sim/fault.hpp"
 #include "sim/machine.hpp"
+#include "sim/trace.hpp"
 
 #include "codec_tol.hpp"
 #include "sparse/coo.hpp"
@@ -314,15 +317,105 @@ TEST(MpkExec, ComplexPairMatchesExplicitRealArithmetic) {
 }
 
 TEST(MpkExec, PairStraddlingCallBoundaryThrows) {
-  const CsrMatrix a = sparse::make_laplace2d(8, 8);
-  const MpkPlan plan = build_mpk_plan(a, {0, a.n_rows}, 2);
+  // The bad pair member sits at the last step, so a step-by-step check
+  // would already have charged the exchange and the earlier steps and
+  // written their columns.
+  const CsrMatrix a = sparse::make_laplace2d(10, 9);
+  const int ng = 2, s = 3;
+  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, ng), s);
+  MpkExecutor exec(plan);
+  Machine m(ng);
+  DistMultiVec v(plan.rows_per_device(), s + 1);
+  Rng rng(4);
+  for (int d = 0; d < ng; ++d) {
+    for (int k = 0; k <= s; ++k) {
+      for (int i = 0; i < v.local_rows(d); ++i) v.col(d, k)[i] = rng.normal();
+    }
+  }
+  const DistMultiVec before = v;
+  const double re[3] = {1.0, 0.5, 0.5};
+  const double im[3] = {0.0, 0.0, -0.8};  // second member with no first
+  EXPECT_THROW(exec.apply(m, v, 0, s, {re, im}), Error);
+  m.sync();
+  EXPECT_EQ(m.clock().elapsed(), 0.0);
+  EXPECT_EQ(m.counters().total_msgs(), 0);
+  for (int d = 0; d < ng; ++d) {
+    for (int k = 0; k <= s; ++k) {
+      for (int i = 0; i < v.local_rows(d); ++i) {
+        EXPECT_EQ(v.col(d, k)[i], before.col(d, k)[i]) << "d=" << d << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(MpkExec, OneFusedKernelPerStepAndDevice) {
+  // One apply of s steps: s fused local kernels per device, one more per
+  // step with boundary rows, and no separate shift (AXPY) or store (COPY)
+  // kernels — the only COPY is the exchange's owned-row copy into z.
+  const CsrMatrix a = sparse::make_circuit_like(0.05, false, 29);
+  const int ng = 3, s = 4;
+  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, ng), s);
+  MpkExecutor exec(plan);
+  Machine m(ng);
+  DistMultiVec v(plan.rows_per_device(), s + 1);
+  for (int d = 0; d < ng; ++d) {
+    for (int i = 0; i < v.local_rows(d); ++i) v.col(d, 0)[i] = 1.0 + i % 7;
+  }
+  const double re[4] = {0.5, 1.0, 1.0, -0.2};
+  const double im[4] = {0.0, 0.8, -0.8, 0.0};
+  exec.apply(m, v, 0, s, {re, im});
+  m.sync();
+
+  std::int64_t expected = 0;
+  for (const MpkDevicePlan& dp : plan.dev) {
+    expected += s;
+    for (const int rows : dp.boundary_rows_at_step) expected += rows > 0 ? 1 : 0;
+  }
+  ASSERT_GT(expected, ng * s);  // some step has boundary rows
+  const auto count = [&m](sim::Kernel k) {
+    return m.counters().kernel_count[static_cast<std::size_t>(sim::kernel_index(k))];
+  };
+  EXPECT_EQ(count(sim::Kernel::kSpmvEll), expected);
+  EXPECT_EQ(count(sim::Kernel::kSpmvCsr), 0);
+  EXPECT_EQ(count(sim::Kernel::kAxpy), 0);
+  EXPECT_EQ(count(sim::Kernel::kCopy), ng);
+}
+
+TEST(MpkExec, KernelNanInFusedKernelPoisonsZAndBasisColumn) {
+  // One device, no halo: op 1 is the exchange's owned-row copy, op 2 the
+  // fused kernel of step 1.
+  const CsrMatrix a = sparse::make_laplace2d(9, 8);
+  const int s = 3;
+  const MpkPlan plan = build_mpk_plan(a, {0, a.n_rows}, s);
   MpkExecutor exec(plan);
   Machine m(1);
-  DistMultiVec v(plan.rows_per_device(), 3);
-  v.col(0, 0)[0] = 1.0;
-  const double re[2] = {1.0, 1.0};
-  const double im[2] = {0.0, -0.8};  // second member with no first member
-  EXPECT_THROW(exec.apply(m, v, 0, 2, {re, im}), Error);
+  sim::FaultEvent nan;
+  nan.kind = sim::FaultKind::kKernelNan;
+  nan.device = 0;
+  nan.at_op = 2;
+  m.fault_injector().schedule(nan);
+  m.enable_trace(true);
+  DistMultiVec v(plan.rows_per_device(), s + 1);
+  for (int i = 0; i < v.local_rows(0); ++i) v.col(0, 0)[i] = 1.0;
+  const double re[3] = {0.3, 0.3, 0.3};
+  exec.apply(m, v, 0, s, {re, nullptr});
+  m.sync();
+
+  const auto& ev = m.trace().events();
+  const auto it = std::find_if(ev.begin(), ev.end(), [](const sim::TraceEvent& e) {
+    return e.name == "fault:nan";
+  });
+  ASSERT_NE(it, ev.end());
+  ASSERT_NE(it + 1, ev.end());
+  EXPECT_EQ((it + 1)->name, "spmv_ell");
+  EXPECT_EQ((it + 1)->phase, "mpk");
+  for (int i = 0; i < v.local_rows(0); ++i) {
+    EXPECT_EQ(v.col(0, 0)[i], 1.0);
+    // The basis column the fused kernel stored...
+    EXPECT_TRUE(std::isnan(v.col(0, 1)[i]));
+    // ...and z, which step 2 reads (never the basis column).
+    EXPECT_TRUE(std::isnan(v.col(0, 2)[i]));
+  }
 }
 
 TEST(MpkExec, DistributedSpmvMatchesHost) {
@@ -419,7 +512,11 @@ TEST(MpkExec, LatencySavingsVsRepeatedSpmv) {
   }
   Machine m_mpk(ng), m_spmv(ng);
   mpk.apply(m_mpk, v, 0, s);
+  // The two machines share v: drain the MPK's streams before the SpMV
+  // machine's streams overwrite the same columns.
+  m_mpk.sync();
   for (int k = 0; k < s; ++k) spmv.spmv(m_spmv, v, k, k + 1);
+  m_spmv.sync();
   EXPECT_LT(m_mpk.clock().elapsed(), m_spmv.clock().elapsed());
   // And it used far fewer messages.
   EXPECT_LT(m_mpk.counters().total_msgs(), m_spmv.counters().total_msgs());

@@ -217,13 +217,13 @@ TEST(DeviceBlas, PackUnpackGatherScatter) {
   EXPECT_DOUBLE_EQ(x[1], 20);
 }
 
-TEST(DeviceBlas, SpmvEllChargesAndComputes) {
+TEST(DeviceBlas, SpmvSellChargesAndComputes) {
   Machine m(1);
   const auto a = sparse::make_laplace2d(6, 6);
-  const auto e = sparse::to_ell(a);
+  const auto e = sparse::to_sell(a);
   const int n = a.n_rows;
   std::vector<double> x(static_cast<std::size_t>(n), 1.0), y1(static_cast<std::size_t>(n)), y2(static_cast<std::size_t>(n));
-  dev_spmv_ell(m, 0, e, x.data(), y1.data());
+  dev_spmv_sell(m, 0, e, n, x.data(), y1.data());
   m.sync();  // the host reads y1 below
   sparse::spmv(a, x.data(), y2.data());
   for (int i = 0; i < n; ++i) EXPECT_NEAR(y1[static_cast<std::size_t>(i)], y2[static_cast<std::size_t>(i)], 1e-13);

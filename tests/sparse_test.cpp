@@ -1,5 +1,6 @@
-// Unit tests for the sparse-matrix substrate: CSR/ELL/COO, I/O, generators,
-// balancing, and stats.
+// Unit tests for the sparse-matrix substrate: CSR/SELL/COO, I/O,
+// generators, balancing, and stats.
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -10,9 +11,9 @@
 #include "sparse/balance.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/ell.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/io.hpp"
+#include "sparse/sell.hpp"
 #include "sparse/stats.hpp"
 
 namespace cagmres::sparse {
@@ -105,19 +106,140 @@ TEST(Csr, FrobeniusNorm) {
   EXPECT_NEAR(frobenius_norm(a), std::sqrt(4.0 + 1 + 9 + 1 + 16 + 25), 1e-14);
 }
 
-TEST(Ell, ConversionAndSpmvMatchCsr) {
-  Rng rng(22);
-  CsrMatrix a = make_circuit_like(0.06, true, 7);
-  EllMatrix e = to_ell(a);
-  EXPECT_GE(e.width, 1);
-  const int n = a.n_rows;
-  std::vector<double> x(n), y1(n), y2(n);
-  for (int i = 0; i < n; ++i) x[i] = rng.normal();
-  spmv(a, x.data(), y1.data());
-  spmv(e, x.data(), y2.data());
-  for (int i = 0; i < n; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-12);
-  EXPECT_GE(padding_ratio(e, a.nnz()), 0.0);
-  EXPECT_LT(padding_ratio(e, a.nnz()), 1.0);
+/// Random irregular n x n matrix: a quarter of the rows empty, most short,
+/// a few long — the shape that makes plain ELLPACK pad badly.
+CsrMatrix random_irregular(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  CooBuilder b(n, n);
+  for (int i = 0; i < n; ++i) {
+    const double u = rng.uniform();
+    const int len = u < 0.25 ? 0 : (u < 0.95 ? 1 + static_cast<int>(rng.uniform() * 6)
+                                            : 20 + static_cast<int>(rng.uniform() * 40));
+    for (int k = 0; k < len; ++k) {
+      b.add(i, static_cast<int>(rng.uniform() * n) % n, rng.normal());
+    }
+  }
+  return b.build();
+}
+
+std::int64_t plain_ell_slots(const CsrMatrix& a) {
+  int width = 0;
+  for (int i = 0; i < a.n_rows; ++i) width = std::max(width, a.row_nnz(i));
+  return static_cast<std::int64_t>(a.n_rows) * width;
+}
+
+TEST(Sell, SpmvMatchesCsrBitwise) {
+  constexpr int kC = SellMatrix::kSliceHeight;
+  constexpr int kSigma = SellMatrix::kSortWindow;
+  // n not a multiple of C, and last sort windows shorter than sigma.
+  for (const int n : {1, kC - 1, kC + 1, kSigma + 7, 3 * kSigma + kC + 5}) {
+    const CsrMatrix a = random_irregular(n, 100 + static_cast<std::uint64_t>(n));
+    const SellMatrix s = to_sell(a);
+    Rng rng(5);
+    std::vector<double> x(static_cast<std::size_t>(n)), y1(x.size()), y2(x.size());
+    for (auto& e : x) e = rng.normal();
+    spmv(a, x.data(), y1.data());
+    spmv(s, x.data(), y2.data());
+    // EXPECT_EQ compares with ==, which treats +0 and -0 as equal.
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(y1[static_cast<std::size_t>(i)], y2[static_cast<std::size_t>(i)])
+          << "n=" << n << " row " << i;
+    }
+  }
+}
+
+TEST(Sell, LayoutSortsWithinWindowsAndNeverPadsMoreThanEll) {
+  constexpr int kC = SellMatrix::kSliceHeight;
+  constexpr int kSigma = SellMatrix::kSortWindow;
+  for (const CsrMatrix& a :
+       {random_irregular(3 * kSigma + 11, 9), make_cant_like(0.3),
+        make_circuit_like(0.06, true, 7)}) {
+    const SellMatrix s = to_sell(a);
+    EXPECT_LE(s.stored_slots(), plain_ell_slots(a));
+    EXPECT_GE(s.stored_slots(), a.nnz());
+    // `row` is a permutation that only moves rows within their window, and
+    // each window is sorted longest first.
+    std::vector<int> seen(static_cast<std::size_t>(a.n_rows), 0);
+    for (int p = 0; p < a.n_rows; ++p) {
+      const int r = s.row[static_cast<std::size_t>(p)];
+      ASSERT_EQ(r / kSigma, p / kSigma);
+      ++seen[static_cast<std::size_t>(r)];
+      if (p % kSigma != 0) {
+        EXPECT_GE(a.row_nnz(s.row[static_cast<std::size_t>(p) - 1]), a.row_nnz(r));
+      }
+    }
+    for (const int c : seen) EXPECT_EQ(c, 1);
+    // Slices are C rows tall except the last.
+    for (int j = 0; j + 1 < s.n_slices(); ++j) {
+      EXPECT_EQ(s.slice_row[static_cast<std::size_t>(j) + 1] -
+                    s.slice_row[static_cast<std::size_t>(j)], kC);
+    }
+  }
+  // The rows of a plain ELL matrix all pad to the widest; slicing must pay
+  // strictly less on a matrix with a few long rows.
+  const CsrMatrix irregular = random_irregular(2 * kSigma, 4);
+  EXPECT_LT(to_sell(irregular).stored_slots(), plain_ell_slots(irregular));
+}
+
+TEST(Sell, GroupsAreWholeSlicesAndPrefixesMatchCsr) {
+  const CsrMatrix a = random_irregular(300, 17);
+  const std::vector<int> ends = {45, 45, 170, 300};  // includes an empty group
+  const SellMatrix s = to_sell(a, ends);
+  int begin = 0;
+  for (const int end : ends) {
+    EXPECT_GE(s.slots_of_prefix(end), 0);  // throws unless `end` ends a slice
+    for (int p = begin; p < end; ++p) {
+      const int r = s.row[static_cast<std::size_t>(p)];
+      EXPECT_TRUE(begin <= r && r < end) << "row left its group";
+    }
+    begin = end;
+  }
+  EXPECT_THROW(s.slots_of_prefix(46), Error);
+  EXPECT_THROW(to_sell(a, {10, 200}), Error);  // does not cover every row
+
+  // A prefix product touches exactly the prefix's rows.
+  Rng rng(3);
+  std::vector<double> x(300), y_ref(300), y(300, -7.0);
+  for (auto& e : x) e = rng.normal();
+  spmv(a, x.data(), y_ref.data());
+  spmv(s, 170, x.data(), y.data());
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_EQ(y[static_cast<std::size_t>(i)],
+              i < 170 ? y_ref[static_cast<std::size_t>(i)] : -7.0);
+  }
+}
+
+TEST(Sell, EpilogueShiftsAndStoresLikeTheUnfusedSequence) {
+  const CsrMatrix a = random_irregular(200, 23);
+  const SellMatrix s = to_sell(a);
+  Rng rng(11);
+  std::vector<double> x(200), x2(200), ref(200), y(200), store(200);
+  for (auto& e : x) e = rng.normal();
+  for (auto& e : x2) e = rng.normal();
+  // Real shift: y = A x - theta x.
+  SellEpilogue ep;
+  ep.theta = 0.75;
+  ep.store = store.data();
+  spmv(s, 200, x.data(), y.data(), ep);
+  spmv(a, x.data(), ref.data());
+  for (int i = 0; i < 200; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    ref[u] -= 0.75 * x[u];
+    EXPECT_EQ(y[u], ref[u]);
+    EXPECT_EQ(store[u], ref[u]);
+  }
+  // Complex pair second member: y = A x - theta x + beta2 x2.
+  ep.x2 = x2.data();
+  ep.beta2 = 0.64;
+  ep.store = nullptr;
+  spmv(s, 200, x.data(), y.data(), ep);
+  spmv(a, x.data(), ref.data());
+  for (int i = 0; i < 200; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    ref[u] -= 0.75 * x[u];
+    ref[u] += 0.64 * x2[u];
+    EXPECT_EQ(y[u], ref[u]);
+  }
 }
 
 TEST(Io, RoundTripsGeneralMatrix) {
