@@ -98,11 +98,11 @@ echo "== chaos gate: 64-schedule campaign, both sync modes, default build =="
 ./build/tools/chaos --schedules=64 --seed=7 --modes=both
 
 echo
-echo "== chaos gate: 64-schedule multi-node campaign (--nodes=2) =="
+echo "== chaos gate: 192-schedule multi-node campaign (--nodes=2) =="
 # Node-scoped schedules (atomic node kills, inter-node link rates, node
 # corrupt storms) against the hierarchical partner-checkpoint recovery
-# ladder (DESIGN §12).
-./build/tools/chaos --schedules=64 --seed=7 --modes=both --nodes=2
+# ladder (DESIGN §12), 64 schedules for each of the three solvers.
+./build/tools/chaos --schedules=192 --seed=7 --modes=both --nodes=2
 
 echo
 echo "== chaos gate: 64-schedule multi-node campaign with compressed wires =="

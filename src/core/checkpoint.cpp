@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/gmres.hpp"  // detail::checkpoint_x / detail::restore_x
+#include "common/error.hpp"
 
 namespace cagmres::core {
 
@@ -35,14 +35,9 @@ void Checkpointer::init_zero(int n) {
 }
 
 void Checkpointer::save(sim::DistMultiVec& xwork, bool x_is_zero) {
-  if (!hier_) {
-    x_ = detail::checkpoint_x(m_, xwork);
-    x_zero_ = x_is_zero;
-    return;
-  }
   // Rung 1: every device parks its shard in its own node's host memory over
-  // the intra-node link. Same data motion as the flat path, cheaper rate.
-  // Stage into locals and commit only after every transfer lands: d2h_node
+  // the intra-node link (flat machines: the coordinating host over PCIe).
+  // Stage into locals and commit only after every transfer lands: a d2h
   // can throw mid-loop under injected transfer faults, and a half-built
   // checkpoint must never clobber the last good one.
   m_.sync();  // wall-clock only: the host reads xwork below
@@ -55,8 +50,12 @@ void Checkpointer::save(sim::DistMultiVec& xwork, bool x_is_zero) {
   for (int d = 0; d < m_.n_devices(); ++d) {
     const int rows = xwork.local_rows(d);
     m_.charge_codec(d, cd, rows);
-    m_.d2h_node(d, cd.wire_bytes(rows), 8.0 * rows);
-    staged_bytes[static_cast<std::size_t>(m_.node_of(d))] += 8.0 * rows;
+    if (hier_) {
+      m_.d2h_node(d, cd.wire_bytes(rows), 8.0 * rows);
+      staged_bytes[static_cast<std::size_t>(m_.node_of(d))] += 8.0 * rows;
+    } else {
+      m_.d2h(d, cd.wire_bytes(rows), 8.0 * rows);
+    }
     const double* p = xwork.col(d, 0);
     staged.insert(staged.end(), p, p + rows);
   }
@@ -65,8 +64,9 @@ void Checkpointer::save(sim::DistMultiVec& xwork, bool x_is_zero) {
   // Keep the decoded wire image (idempotent demotion only — see
   // Machine::set_codec), so restores re-ship these exact bits.
   if (cd.active()) cd.roundtrip(x_.data(), static_cast<int>(x_.size()));
-  shard_bytes_ = std::move(staged_bytes);
   x_zero_ = x_is_zero;
+  if (!hier_) return;
+  shard_bytes_ = std::move(staged_bytes);
   arm_mirrors();
 }
 
@@ -99,47 +99,46 @@ void Checkpointer::arm_mirrors() {
   }
 }
 
-void Checkpointer::scatter(sim::DistMultiVec& xwork) const {
-  std::size_t at = 0;
-  for (int d = 0; d < m_.n_devices(); ++d) {
-    const int rows = xwork.local_rows(d);
-    double* p = xwork.col(d, 0);
-    for (int i = 0; i < rows; ++i) {
-      p[static_cast<std::size_t>(i)] = x_[at++];
-    }
-  }
-}
-
-void Checkpointer::rollback(sim::DistMultiVec& xwork) {
-  if (!hier_) {
-    detail::restore_x(m_, xwork, x_);
-    return;
-  }
-  // NaN scrub / tainted cycle: the partition is unchanged, so every shard
-  // is already in its own node's host memory — node-local refill only.
+void Checkpointer::refill(sim::DistMultiVec& xwork, bool node_local) {
   sim::UnwindDrainGuard unwind_guard(m_);  // caller may have work in flight
   CAGMRES_REQUIRE(static_cast<int>(x_.size()) == xwork.total_rows(),
                   "checkpoint size mismatch");
   m_.sync();  // wall-clock only: the host writes xwork below
+  // The checkpoint already holds decoded wire values (see save), so the
+  // refill ships the same coded image and decodes to those bits.
   const sim::CodecSpec& cd = m_.codec(sim::TrafficClass::kCkpt);
   for (int d = 0; d < m_.n_devices(); ++d) {
     const int rows = xwork.local_rows(d);
-    m_.h2d_node(d, cd.wire_bytes(rows), 8.0 * rows);
+    if (node_local) {
+      m_.h2d_node(d, cd.wire_bytes(rows), 8.0 * rows);
+    } else {
+      m_.h2d(d, cd.wire_bytes(rows), 8.0 * rows);
+    }
     m_.charge_codec(d, cd, rows);
   }
-  scatter(xwork);
+  std::size_t at = 0;
+  for (int d = 0; d < m_.n_devices(); ++d) {
+    double* p = xwork.col(d, 0);
+    for (int i = 0; i < xwork.local_rows(d); ++i) {
+      p[static_cast<std::size_t>(i)] = x_[at++];
+    }
+  }
   m_.host_wait_all();
+}
+
+void Checkpointer::rollback(sim::DistMultiVec& xwork) {
+  // NaN scrub / tainted cycle: the partition is unchanged, so on the
+  // hierarchy every shard is already in its own node's host memory.
+  refill(xwork, hier_);
 }
 
 void Checkpointer::restore_after_repartition(
     sim::DistMultiVec& xwork, const std::vector<int>& lost_nodes) {
   if (!hier_) {
-    detail::restore_x(m_, xwork, x_);
+    refill(xwork, false);
     return;
   }
   sim::UnwindDrainGuard unwind_guard(m_);  // caller may have work in flight
-  CAGMRES_REQUIRE(static_cast<int>(x_.size()) == xwork.total_rows(),
-                  "checkpoint size mismatch");
   const int nn = m_.topology().n_nodes;
   // Rung 4 check: every lost node needs a live partner holding a valid
   // mirror. A correlated double-node loss that took a partner out falls all
@@ -151,7 +150,7 @@ void Checkpointer::restore_after_repartition(
       partner_alive = m_.node_of(d) == partner;
     }
     if (!partner_alive || !mirror_ok_[static_cast<std::size_t>(k)]) {
-      detail::restore_x(m_, xwork, x_);
+      refill(xwork, false);
       return;
     }
   }
@@ -178,14 +177,7 @@ void Checkpointer::restore_after_repartition(
     ++partner_restores_;
   }
   // Survivors refill node-locally (their shards never left the node).
-  m_.sync();  // wall-clock only: the host writes xwork below
-  for (int d = 0; d < m_.n_devices(); ++d) {
-    const int rows = xwork.local_rows(d);
-    m_.h2d_node(d, cd.wire_bytes(rows), 8.0 * rows);
-    m_.charge_codec(d, cd, rows);
-  }
-  scatter(xwork);
-  m_.host_wait_all();
+  refill(xwork, true);
 }
 
 // ---------------------------------------------------------------------------

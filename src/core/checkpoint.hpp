@@ -68,9 +68,9 @@ class Checkpointer {
   void save(sim::DistMultiVec& xwork, bool x_is_zero);
 
   /// In-place rollback of xwork onto the *current* partition (NaN scrub /
-  /// tainted-cycle path; no repartition happened). Flat: PR 1 restore_x.
-  /// Hierarchical: node-local h2d — single-device loss and rollbacks never
-  /// touch the network.
+  /// tainted-cycle path; no repartition happened). Flat: one h2d per
+  /// device from the coordinating host. Hierarchical: node-local h2d —
+  /// single-device loss and rollbacks never touch the network.
   void rollback(sim::DistMultiVec& xwork);
 
   /// Restore after repartition_problem() rebuilt the distributed state.
@@ -95,9 +95,9 @@ class Checkpointer {
   /// per populated node, timestamped at the node's latest device time plus
   /// one inter-node message of the shard's bytes (NIC-DMA model).
   void arm_mirrors();
-  /// Writes x_ into xwork column 0 (host-side data motion; charges belong
-  /// to the caller).
-  void scatter(sim::DistMultiVec& xwork) const;
+  /// Charged restore of x_ into xwork column 0 on the current partition:
+  /// node-local h2d on the hierarchy, coordinating-host h2d otherwise.
+  void refill(sim::DistMultiVec& xwork, bool node_local);
 
   sim::Machine& m_;
   bool resilient_;
@@ -111,7 +111,8 @@ class Checkpointer {
 };
 
 /// Node-aware fault classification + bounded recovery (see file comment).
-/// One instance per solve; drives the catch handler both solvers share.
+/// One instance per solve; drives the catch handler of the one restart
+/// loop every solver runs (core/restart_driver.hpp).
 class RecoveryDomains {
  public:
   RecoveryDomains(sim::Machine& m, const SolverOptions& opts, bool resilient);

@@ -7,6 +7,7 @@
 // the machine, phase-labelled "spmv" and "orth".
 #pragma once
 
+#include "core/restart_driver.hpp"
 #include "core/solver_common.hpp"
 #include "mpk/exec.hpp"
 #include "sim/machine.hpp"
@@ -47,21 +48,19 @@ CycleOutcome arnoldi_cycle(sim::Machine& machine, mpk::MpkExecutor& spmv,
                            double beta, double abs_tol, int max_replays = 0,
                            precond::PrecondHandle* pc = nullptr);
 
-/// Charged checkpoint of the current solution (column 0 of xwork) to the
-/// host, in prepared row order (device blocks are contiguous). Recovery-path
-/// only: callers gate it on Machine::faults_armed().
-std::vector<double> checkpoint_x(sim::Machine& machine,
-                                 const sim::DistMultiVec& xwork);
+/// The GMRES restart cycle: arnoldi_cycle from ctx.v(:,0) with `orth`,
+/// then the least-squares update of x. gmres() runs it every restart;
+/// CA-GMRES runs it for its shift-harvesting first restart and its
+/// fallback rung.
+CycleOutcome gmres_cycle(RestartContext& ctx, ortho::Method orth);
 
-/// Charged restore of a checkpoint into column 0 of xwork, split at xwork's
-/// (possibly repartitioned) device blocks.
-void restore_x(sim::Machine& machine, sim::DistMultiVec& xwork,
-               const std::vector<double>& x);
-
-/// Charges the host->device redistribution of the matrix and rhs blocks
-/// after a repartition (the one recovery cost that is not a retry or replay
-/// of existing work).
-void charge_redistribution(sim::Machine& machine, const Problem& p);
+/// y(:, ycol) := A x(:, xcol), or A M^{-1} x(:, xcol) when `pc` is armed:
+/// M^{-1} x is staged in column `stage_col` of the executor's
+/// stage(stage_cols) between the trisolve and the SpMV.
+void apply_operator(sim::Machine& machine, mpk::MpkExecutor& spmv,
+                    precond::PrecondHandle* pc, const sim::DistMultiVec& x,
+                    int xcol, sim::DistMultiVec& y, int ycol,
+                    int stage_cols = 2, int stage_col = 0);
 
 /// r := b - A x into column rcol of v, where x lives in column xcol of
 /// `xwork` (a 2-column scratch multivector) — or r := b when first is true.

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
+#include "core/pipelined.hpp"
 #include "core/solver_common.hpp"
 #include "precond/precond.hpp"
 #include "sparse/generators.hpp"
@@ -51,18 +52,69 @@ std::string to_string(ChaosSolver s) {
       return "precond_ca_gmres";
     case ChaosSolver::kPrecondGmres:
       return "precond_gmres";
+    case ChaosSolver::kPipelined:
+      return "pipelined_gmres";
+    case ChaosSolver::kPrecondPipelined:
+      return "precond_pipelined_gmres";
   }
   return "?";
+}
+
+std::vector<ChaosSolver> parse_chaos_solvers(const std::string& list) {
+  std::vector<ChaosSolver> out;
+  std::size_t at = 0;
+  while (at <= list.size()) {
+    const std::size_t comma = std::min(list.find(',', at), list.size());
+    const std::string name = list.substr(at, comma - at);
+    if (name == "ca") {
+      out.push_back(ChaosSolver::kCaGmres);
+    } else if (name == "gmres") {
+      out.push_back(ChaosSolver::kGmres);
+    } else if (name == "pipelined") {
+      out.push_back(ChaosSolver::kPipelined);
+    } else {
+      throw Error("unknown solver '" + name +
+                  "' (want a comma list of ca|gmres|pipelined)");
+    }
+    at = comma + 1;
+  }
+  return out;
 }
 
 namespace {
 
 bool is_precond(ChaosSolver s) {
-  return s == ChaosSolver::kPrecondCaGmres || s == ChaosSolver::kPrecondGmres;
+  return s == ChaosSolver::kPrecondCaGmres ||
+         s == ChaosSolver::kPrecondGmres ||
+         s == ChaosSolver::kPrecondPipelined;
 }
 
-bool is_ca(ChaosSolver s) {
-  return s == ChaosSolver::kCaGmres || s == ChaosSolver::kPrecondCaGmres;
+/// The right-preconditioned twin of an unpreconditioned solver.
+ChaosSolver precond_twin(ChaosSolver s) {
+  switch (s) {
+    case ChaosSolver::kCaGmres:
+      return ChaosSolver::kPrecondCaGmres;
+    case ChaosSolver::kGmres:
+      return ChaosSolver::kPrecondGmres;
+    case ChaosSolver::kPipelined:
+      return ChaosSolver::kPrecondPipelined;
+    default:
+      return s;
+  }
+}
+
+core::SolveResult solve(ChaosSolver s, Machine& m, const core::Problem& p,
+                        const core::SolverOptions& o) {
+  switch (s) {
+    case ChaosSolver::kCaGmres:
+    case ChaosSolver::kPrecondCaGmres:
+      return core::ca_gmres(m, p, o);
+    case ChaosSolver::kPipelined:
+    case ChaosSolver::kPrecondPipelined:
+      return core::pipelined_gmres(m, p, o);
+    default:
+      return core::gmres(m, p, o);
+  }
 }
 
 }  // namespace
@@ -205,14 +257,10 @@ struct ChaosRunner::Impl {
            (mode == SyncMode::kEvent ? 1 : 0) * 100 + workers;
   }
 
-  /// The campaign's driver roster: the unpreconditioned pair, widened by
-  /// the preconditioned pair when a spec is armed.
   std::vector<ChaosSolver> roster() const {
-    std::vector<ChaosSolver> out = {ChaosSolver::kCaGmres};
-    if (cfg.both_solvers) out.push_back(ChaosSolver::kGmres);
+    std::vector<ChaosSolver> out = cfg.solvers;
     if (pspec.armed()) {
-      out.push_back(ChaosSolver::kPrecondCaGmres);
-      if (cfg.both_solvers) out.push_back(ChaosSolver::kPrecondGmres);
+      for (const ChaosSolver s : cfg.solvers) out.push_back(precond_twin(s));
     }
     return out;
   }
@@ -237,8 +285,7 @@ struct ChaosRunner::Impl {
     core::SolverOptions opts = solver_opts();
     if (is_precond(solver)) opts.precond = &handle;
     try {
-      sr = is_ca(solver) ? core::ca_gmres(m, prob, opts)
-                         : core::gmres(m, prob, opts);
+      sr = solve(solver, m, prob, opts);
       have_x = true;
       r.outcome =
           sr.stats.converged ? ChaosOutcome::kConverged : ChaosOutcome::kUnconverged;
@@ -308,6 +355,23 @@ struct ChaosRunner::Impl {
     return r;
   }
 
+  /// Adds one run to its solver's outcome mix (entries in roster order).
+  void count(std::vector<std::pair<ChaosSolver, ChaosOutcomeMix>>& by_solver,
+             ChaosSolver solver, const ChaosRunResult& r) const {
+    if (by_solver.empty()) {
+      for (const ChaosSolver s : roster()) by_solver.push_back({s, {}});
+    }
+    for (auto& [s, mix] : by_solver) {
+      if (s != solver) continue;
+      ++mix.runs;
+      mix.converged += r.outcome == ChaosOutcome::kConverged;
+      mix.unconverged += r.outcome == ChaosOutcome::kUnconverged;
+      mix.clean_errors += r.outcome == ChaosOutcome::kCleanError;
+      mix.watchdogs += r.outcome == ChaosOutcome::kWatchdog;
+      mix.degraded += r.degraded;
+    }
+  }
+
   void configure(Machine& m, SyncMode mode, int workers) {
     m.set_sync_mode(mode);
     m.set_host_workers(workers);
@@ -362,6 +426,7 @@ struct ChaosRunner::Impl {
             case ChaosOutcome::kWatchdog: ++stats->watchdogs; break;
           }
           if (r1.degraded) ++stats->degraded;
+          count(stats->by_solver, solver, r1);
           stats->peer_bytes += r1.peer_bytes;
           stats->peer_logical_bytes += r1.peer_logical_bytes;
           stats->pcie_bytes += r1.pcie_bytes;
@@ -406,11 +471,21 @@ ChaosRunner::ChaosRunner(const ChaosConfig& cfg)
                   "chaos: empty configuration");
   CAGMRES_REQUIRE(cfg.n_nodes >= 1 && cfg.n_devices % cfg.n_nodes == 0,
                   "chaos: n_nodes must divide n_devices");
+  CAGMRES_REQUIRE(!cfg.solvers.empty(), "chaos: empty solver roster");
+  for (const ChaosSolver s : cfg.solvers) {
+    CAGMRES_REQUIRE(!is_precond(s),
+                    "chaos: name unpreconditioned solvers; --precond adds "
+                    "their twins");
+  }
 }
 
 ChaosRunner::~ChaosRunner() = default;
 
 const ChaosConfig& ChaosRunner::config() const { return impl_->cfg; }
+
+std::vector<ChaosSolver> ChaosRunner::roster() const {
+  return impl_->roster();
+}
 
 ChaosSchedule ChaosRunner::generate(std::uint64_t campaign_seed, int index) {
   impl_->ensure_baselines();

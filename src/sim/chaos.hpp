@@ -7,8 +7,9 @@
 // op-triggered, including cascading multi-device kills clustered tightly
 // enough to land inside a previous kill's checkpoint-restart) plus
 // continuous rates — and runs each over {barrier, event} x configured host
-// worker counts, alternating CA-GMRES and GMRES. Every run must end in one
-// of the sanctioned states:
+// worker counts, alternating over a roster of solvers (CA-GMRES, GMRES and
+// pipelined GMRES by default). Every run must end in one of the sanctioned
+// states:
 //   - converged, with a finite solution whose TRUE residual (checked
 //     against the original, unprepared system) meets the tolerance;
 //   - clean non-convergence (restart budget spent, solution finite);
@@ -25,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fault.hpp"
@@ -37,8 +39,20 @@ namespace cagmres::sim {
 /// fresh ILU(k) PrecondHandle per run (ChaosConfig::precond), so kills and
 /// corrupt storms land inside preconditioner setup and the level-scheduled
 /// trisolves as well as the solver proper.
-enum class ChaosSolver { kCaGmres, kGmres, kPrecondCaGmres, kPrecondGmres };
+enum class ChaosSolver {
+  kCaGmres,
+  kGmres,
+  kPrecondCaGmres,
+  kPrecondGmres,
+  kPipelined,
+  kPrecondPipelined,
+};
 std::string to_string(ChaosSolver s);
+
+/// Parses a comma list of unpreconditioned solver names (ca | gmres |
+/// pipelined), in order. Throws Error(kBadInput) on an empty list or an
+/// unknown name.
+std::vector<ChaosSolver> parse_chaos_solvers(const std::string& list);
 
 /// Sanctioned terminal states of one run (see file comment).
 enum class ChaosOutcome { kConverged, kUnconverged, kCleanError, kWatchdog };
@@ -118,19 +132,33 @@ struct ChaosConfig {
   double deadline_factor = 50.0;
   std::vector<SyncMode> modes = {SyncMode::kBarrier, SyncMode::kEvent};
   std::vector<int> worker_counts = {0, 2};
-  bool both_solvers = true;    ///< alternate CA-GMRES / GMRES by index
-  /// Non-empty: a parse_precond_spec string ("ilu:k=1"); the alternation
-  /// widens to a 4-cycle {ca, gmres, precond_ca, precond_gmres} (2-cycle
-  /// {ca, precond_ca} when both_solvers is off), so half of all schedules
-  /// chaos the preconditioned drivers. Empty (the default) keeps the
-  /// campaign byte-identical to the pre-preconditioner engine — schedule
-  /// generation never consumes RNG for this knob.
+  /// The unpreconditioned solvers the campaign alternates over, by
+  /// schedule index (see parse_chaos_solvers).
+  std::vector<ChaosSolver> solvers = {ChaosSolver::kCaGmres,
+                                      ChaosSolver::kGmres,
+                                      ChaosSolver::kPipelined};
+  /// Non-empty: a parse_precond_spec string ("ilu:k=1"); the roster widens
+  /// with the preconditioned twin of each solver ({ca, gmres} becomes {ca,
+  /// gmres, precond_ca, precond_gmres}), so half of all schedules chaos the
+  /// preconditioned drivers. Empty (the default) keeps the campaign
+  /// byte-identical to the pre-preconditioner engine — schedule generation
+  /// never consumes RNG for this knob.
   std::string precond;
   bool check_replay = true;    ///< rerun each config after Machine::reset
   /// Demo hook for exercising the minimizer on a healthy build: when >= 0,
   /// any run observing at least this many device kills is flagged as a
   /// violation (see tools/chaos --demo-bug-kills).
   int demo_bug_kills = -1;
+};
+
+/// Terminal-state counts of one solver's runs in a campaign.
+struct ChaosOutcomeMix {
+  int runs = 0;
+  int converged = 0;
+  int unconverged = 0;
+  int clean_errors = 0;
+  int watchdogs = 0;
+  int degraded = 0;
 };
 
 /// Aggregate campaign outcome.
@@ -149,6 +177,8 @@ struct ChaosCampaignStats {
   double peer_bytes = 0.0, peer_logical_bytes = 0.0;
   double pcie_bytes = 0.0, pcie_logical_bytes = 0.0;
   double net_bytes = 0.0, net_logical_bytes = 0.0;
+  /// The outcome counts above, split by solver, in roster order.
+  std::vector<std::pair<ChaosSolver, ChaosOutcomeMix>> by_solver;
   std::vector<ChaosViolation> violations;
 };
 
@@ -162,6 +192,10 @@ class ChaosRunner {
   ChaosRunner& operator=(const ChaosRunner&) = delete;
 
   const ChaosConfig& config() const;
+
+  /// The solvers schedules alternate over: ChaosConfig::solvers, then
+  /// their preconditioned twins when ChaosConfig::precond is armed.
+  std::vector<ChaosSolver> roster() const;
 
   /// Deterministically generates schedule `index` of a campaign.
   ChaosSchedule generate(std::uint64_t campaign_seed, int index);

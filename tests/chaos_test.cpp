@@ -35,7 +35,7 @@ ChaosConfig slim_config() {
   ChaosConfig cfg;
   cfg.modes = {SyncMode::kEvent};
   cfg.worker_counts = {0};
-  cfg.both_solvers = false;
+  cfg.solvers = {ChaosSolver::kCaGmres};
   return cfg;
 }
 
@@ -238,16 +238,61 @@ TEST(ChaosMinimize, RejectsNonViolatingInput) {
 
 TEST(ChaosCampaign, SmokeCampaignIsViolationFree) {
   ChaosConfig cfg = slim_config();
+  cfg.solvers = {ChaosSolver::kCaGmres, ChaosSolver::kGmres,
+                 ChaosSolver::kPipelined};
   cfg.check_replay = true;
   ChaosRunner r(cfg);
   const auto stats = r.run_campaign(7, 9);
   EXPECT_EQ(stats.schedules, 9);
   EXPECT_EQ(stats.zero_fault, 2);  // indices 0 and 8
   EXPECT_EQ(stats.runs, 9);
-  EXPECT_TRUE(stats.violations.empty());
+  EXPECT_TRUE(stats.violations.empty()) << stats.violations.front().what;
   EXPECT_EQ(stats.converged + stats.unconverged + stats.clean_errors +
                 stats.watchdogs,
             stats.runs);
+  // Three schedules per solver, in roster order.
+  ASSERT_EQ(stats.by_solver.size(), 3u);
+  EXPECT_EQ(stats.by_solver[2].first, ChaosSolver::kPipelined);
+  for (const auto& [solver, mix] : stats.by_solver) {
+    EXPECT_EQ(mix.runs, 3) << to_string(solver);
+  }
+}
+
+TEST(ChaosRoster, SolverListParsesInOrderAndRejectsUnknownNames) {
+  EXPECT_EQ(sim::parse_chaos_solvers("pipelined,ca"),
+            (std::vector<ChaosSolver>{ChaosSolver::kPipelined,
+                                      ChaosSolver::kCaGmres}));
+  EXPECT_EQ(sim::parse_chaos_solvers("gmres"),
+            std::vector<ChaosSolver>{ChaosSolver::kGmres});
+  for (const char* bad : {"", "gmrse", "both", "ca,", "ca,,gmres"}) {
+    try {
+      sim::parse_chaos_solvers(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadInput) << bad;
+    }
+  }
+  // --precond widens the roster with each named solver's twin.
+  ChaosConfig cfg = slim_config();
+  cfg.solvers = {ChaosSolver::kGmres, ChaosSolver::kPipelined};
+  cfg.precond = "ilu:k=0";
+  EXPECT_EQ(ChaosRunner(cfg).roster(),
+            (std::vector<ChaosSolver>{
+                ChaosSolver::kGmres, ChaosSolver::kPipelined,
+                ChaosSolver::kPrecondGmres, ChaosSolver::kPrecondPipelined}));
+}
+
+TEST(ChaosRoster, SingleSolverRosterRunsThatSolver) {
+  // A one-solver roster runs its solver at every index: the demo oracle
+  // (any kill is a violation) reports the GMRES run, not CA-GMRES.
+  ChaosConfig cfg = slim_config();
+  cfg.solvers = {ChaosSolver::kGmres};
+  cfg.demo_bug_kills = 1;
+  ChaosRunner r(cfg);
+  const auto v =
+      r.run_schedule(ChaosSchedule::from_spec("seed=1;kill:d1@t=0.1ms"), 0);
+  ASSERT_FALSE(v.empty());
+  EXPECT_EQ(v.front().solver, ChaosSolver::kGmres);
 }
 
 TEST(ChaosDemoOracle, SeededBugMinimizesToAtMostThreeEvents) {

@@ -14,6 +14,7 @@
 #include "common/error.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
+#include "core/pipelined.hpp"
 #include "core/solver_common.hpp"
 #include "ortho/tsqr.hpp"
 #include "sim/fault.hpp"
@@ -57,6 +58,18 @@ double relative_residual(const TestSystem& s, const std::vector<double>& x) {
   return core::true_residual(s.a, s.b, x) /
          blas::nrm2(s.a.n_rows, s.b.data());
 }
+
+/// The solvers a scenario runs against, by name. Every one of them drives
+/// the same restart loop (core/restart_driver.hpp), so each inherits the
+/// checkpoint, rollback, repartition and host-floor recovery.
+struct NamedSolver {
+  const char* name;
+  core::SolveResult (*solve)(Machine&, const core::Problem&,
+                             const core::SolverOptions&);
+};
+constexpr NamedSolver kGmres{"gmres", core::gmres};
+constexpr NamedSolver kCaGmres{"ca_gmres", core::ca_gmres};
+constexpr NamedSolver kPipelined{"pipelined_gmres", core::pipelined_gmres};
 
 // --- injector unit tests ---------------------------------------------
 
@@ -344,17 +357,19 @@ TEST(ZeroFault, SeedOnlySpecIsByteIdenticalToPlainMachine) {
 // --- acceptance scenario (a): permanent device dropout ----------------
 
 TEST(DeviceDropout, GmresSurvivesAndConverges) {
-  const TestSystem s = make_system(3);
-  Machine machine(3);
-  sim::parse_fault_spec("kill:d1@op=400", machine.fault_injector());
-  const core::SolveResult res = core::gmres(machine, s.p, base_opts());
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_EQ(machine.n_devices(), 2);  // one device retired
-  EXPECT_EQ(res.stats.recovery.device_failures, 1);
-  EXPECT_EQ(res.stats.recovery.repartitions, 1);
-  EXPECT_GE(res.stats.recovery.rollbacks, 1);
-  EXPECT_GT(res.stats.recovery.time_lost, 0.0);
-  EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  for (const NamedSolver& solver : {kGmres, kPipelined}) {
+    const TestSystem s = make_system(3);
+    Machine machine(3);
+    sim::parse_fault_spec("kill:d1@op=400", machine.fault_injector());
+    const core::SolveResult res = solver.solve(machine, s.p, base_opts());
+    EXPECT_TRUE(res.stats.converged) << solver.name;
+    EXPECT_EQ(machine.n_devices(), 2) << solver.name;  // one device retired
+    EXPECT_EQ(res.stats.recovery.device_failures, 1) << solver.name;
+    EXPECT_EQ(res.stats.recovery.repartitions, 1) << solver.name;
+    EXPECT_GE(res.stats.recovery.rollbacks, 1) << solver.name;
+    EXPECT_GT(res.stats.recovery.time_lost, 0.0) << solver.name;
+    EXPECT_LT(relative_residual(s, res.x), 1e-5) << solver.name;
+  }
 }
 
 TEST(DeviceDropout, CaGmresSurvivesAndConverges) {
@@ -382,19 +397,21 @@ TEST(DeviceDropout, TimeTriggeredKillOnWildcardDevice) {
 // --- acceptance scenario (a'): correlated whole-node dropout ----------
 
 TEST(NodeDropout, CaGmresRecoversViaPartnerCheckpoint) {
-  const TestSystem s = make_system(4);
-  Machine machine(4);
-  machine.set_topology(2, 2);  // node 0 = {0,1}, node 1 = {2,3}
-  sim::parse_fault_spec("nodekill:n1@op=600", machine.fault_injector());
-  const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_EQ(machine.n_devices(), 2);  // the whole node retired at once
-  EXPECT_EQ(res.stats.recovery.node_failures, 1);
-  EXPECT_EQ(res.stats.recovery.device_failures, 2);
-  EXPECT_EQ(res.stats.recovery.repartitions, 1);
-  // x came back from node 0's partner mirror, not a host checkpoint.
-  EXPECT_GE(res.stats.recovery.partner_restores, 1);
-  EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  for (const NamedSolver& solver : {kCaGmres, kPipelined}) {
+    const TestSystem s = make_system(4);
+    Machine machine(4);
+    machine.set_topology(2, 2);  // node 0 = {0,1}, node 1 = {2,3}
+    sim::parse_fault_spec("nodekill:n1@op=600", machine.fault_injector());
+    const core::SolveResult res = solver.solve(machine, s.p, base_opts());
+    EXPECT_TRUE(res.stats.converged) << solver.name;
+    EXPECT_EQ(machine.n_devices(), 2) << solver.name;  // whole node retired
+    EXPECT_EQ(res.stats.recovery.node_failures, 1) << solver.name;
+    EXPECT_EQ(res.stats.recovery.device_failures, 2) << solver.name;
+    EXPECT_EQ(res.stats.recovery.repartitions, 1) << solver.name;
+    // x came back from node 0's partner mirror, not a host checkpoint.
+    EXPECT_GE(res.stats.recovery.partner_restores, 1) << solver.name;
+    EXPECT_LT(relative_residual(s, res.x), 1e-5) << solver.name;
+  }
 }
 
 TEST(NodeDropout, GmresPartnerOffFallsBackToHostCheckpoint) {
@@ -501,16 +518,22 @@ TEST(TransferStall, ChargesExtraLatency) {
 // --- acceptance scenario (c): transient NaN kernel faults -------------
 
 TEST(KernelNan, GmresScrubsAndConverges) {
-  const TestSystem s = make_system(3);
-  Machine machine(3);
-  sim::parse_fault_spec("seed=11;nan:p=0.002", machine.fault_injector());
-  const core::SolveResult res = core::gmres(machine, s.p, base_opts());
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_GT(res.stats.recovery.kernel_faults, 0);
-  EXPECT_GT(res.stats.recovery.blocks_replayed + res.stats.recovery.rollbacks,
-            0);
-  EXPECT_LT(relative_residual(s, res.x), 1e-5);
-  EXPECT_TRUE(std::isfinite(res.stats.final_residual));
+  // Pipelined GMRES replays nothing: a poisoned fused reduction ends its
+  // cycle on the clean prefix, and poison that reaches x anyway makes the
+  // next true residual non-finite, so the driver rolls x back.
+  for (const NamedSolver& solver : {kGmres, kPipelined}) {
+    const TestSystem s = make_system(3);
+    Machine machine(3);
+    sim::parse_fault_spec("seed=11;nan:p=0.002", machine.fault_injector());
+    const core::SolveResult res = solver.solve(machine, s.p, base_opts());
+    EXPECT_TRUE(res.stats.converged) << solver.name;
+    EXPECT_GT(res.stats.recovery.kernel_faults, 0) << solver.name;
+    EXPECT_GT(
+        res.stats.recovery.blocks_replayed + res.stats.recovery.rollbacks, 0)
+        << solver.name;
+    EXPECT_LT(relative_residual(s, res.x), 1e-5) << solver.name;
+    EXPECT_TRUE(std::isfinite(res.stats.final_residual)) << solver.name;
+  }
 }
 
 TEST(KernelNan, CaGmresScrubsAndConverges) {
@@ -540,6 +563,68 @@ TEST(KernelNan, PoisonedGramBreakdownIsReplayedNotFatal) {
     EXPECT_GT(res.stats.recovery.blocks_replayed, 0) << spec;
     EXPECT_LT(relative_residual(s, res.x), 1e-5) << spec;
   }
+}
+
+TEST(KernelNan, TaintedCycleRollbackCountsAsLostTime) {
+  // One NaN in the scaled residual column v(:,0) of a CA cycle: every
+  // replay of the first block regenerates from that column, CholQR fails
+  // fast on the NaN Gram (a breakdown replay charges no scrub time), the
+  // replays run out, and the driver rolls the whole cycle back to the
+  // checkpoint without a repartition. Op indices shift with the charged
+  // sequence (a codec adds passes), so scan device 0 for the op that lands
+  // there (437 on a plain machine).
+  const TestSystem s = make_system(3);
+  const core::SolverOptions opts = base_opts();
+  bool found = false;
+  for (int op = 300; op < 1500 && !found; ++op) {
+    Machine machine(3);
+    sim::parse_fault_spec("nan:d0@op=" + std::to_string(op),
+                          machine.fault_injector());
+    const core::SolveResult res = core::ca_gmres(machine, s.p, opts);
+    const core::RecoveryStats& rc = res.stats.recovery;
+    if (rc.blocks_replayed != opts.max_block_replays + 1 ||
+        rc.rollbacks != 1 || rc.repartitions != 0) {
+      continue;
+    }
+    found = true;
+    SCOPED_TRACE("op=" + std::to_string(op));
+    EXPECT_TRUE(res.stats.converged);
+    EXPECT_EQ(rc.kernel_faults, 1);
+    // The charged rollback is recovery time on top of retries and stalls.
+    const sim::FaultStats& fs = machine.fault_injector().stats();
+    EXPECT_GT(rc.time_lost, fs.retry_seconds + fs.stall_seconds);
+    EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  }
+  EXPECT_TRUE(found) << "no op produced a tainted-cycle rollback";
+}
+
+TEST(KernelNan, PoisonedLastCycleNeverYieldsNonFiniteSolution) {
+  // One restart allowed: a NaN landing in its closing solution update is
+  // never seen by a later residual. Wherever the NaN lands, the solver
+  // returns a finite x — for the update, the checkpoint (x = 0) that the
+  // final residual was measured on.
+  const TestSystem s = make_system(3);
+  core::SolverOptions opts = base_opts();
+  opts.max_restarts = 1;
+  int checkpoint_returns = 0;
+  for (int op = 1; op < 600; ++op) {
+    Machine machine(3);
+    sim::parse_fault_spec("nan:d0@op=" + std::to_string(op),
+                          machine.fault_injector());
+    const core::SolveResult res = core::gmres(machine, s.p, opts);
+    bool finite = true;
+    bool zero = true;
+    for (const double e : res.x) {
+      finite = finite && std::isfinite(e);
+      zero = zero && e == 0.0;
+    }
+    EXPECT_TRUE(finite) << "op=" << op;
+    if (zero) {
+      ++checkpoint_returns;
+      EXPECT_EQ(res.stats.final_residual, res.stats.initial_residual);
+    }
+  }
+  EXPECT_GT(checkpoint_returns, 0);  // the update was hit somewhere
 }
 
 TEST(KernelNan, ScheduledSingleFaultIsScrubbed) {
@@ -572,29 +657,43 @@ TEST(CombinedFaults, CaGmresSurvivesKillCorruptionAndNans) {
 // --- seeded determinism (satellite 5) ---------------------------------
 
 TEST(Determinism, SameFaultSeedGivesBitIdenticalSolves) {
+  // Same seed => same bits, and the bits do not depend on how many host
+  // workers drain the device streams.
   const TestSystem s = make_system(3);
-  Machine machine(3);
-  sim::parse_fault_spec("seed=5;nan:p=0.002;corrupt:p=0.005;stall:p=0.01",
-                        machine.fault_injector());
-  const core::SolveResult r1 = core::ca_gmres(machine, s.p, base_opts());
-  machine.reset();  // replays the identical fault schedule
-  const core::SolveResult r2 = core::ca_gmres(machine, s.p, base_opts());
-
-  EXPECT_EQ(r1.x, r2.x);
-  EXPECT_EQ(r1.stats.converged, r2.stats.converged);
-  EXPECT_EQ(r1.stats.iterations, r2.stats.iterations);
-  EXPECT_EQ(r1.stats.restarts, r2.stats.restarts);
-  EXPECT_EQ(r1.stats.time_total, r2.stats.time_total);
-  EXPECT_EQ(r1.stats.residual_history, r2.stats.residual_history);
-  EXPECT_EQ(r1.stats.block_sizes, r2.stats.block_sizes);
-  EXPECT_EQ(r1.stats.recovery.faults_injected,
-            r2.stats.recovery.faults_injected);
-  EXPECT_EQ(r1.stats.recovery.kernel_faults, r2.stats.recovery.kernel_faults);
-  EXPECT_EQ(r1.stats.recovery.transfer_retries,
-            r2.stats.recovery.transfer_retries);
-  EXPECT_EQ(r1.stats.recovery.blocks_replayed,
-            r2.stats.recovery.blocks_replayed);
-  EXPECT_EQ(r1.stats.recovery.time_lost, r2.stats.recovery.time_lost);
+  for (const NamedSolver& solver : {kCaGmres, kPipelined}) {
+    core::SolveResult first;
+    for (const int workers : {0, 2}) {
+      Machine machine(3);
+      machine.set_host_workers(workers);
+      sim::parse_fault_spec("seed=5;nan:p=0.002;corrupt:p=0.005;stall:p=0.01",
+                            machine.fault_injector());
+      const core::SolveResult r1 = solver.solve(machine, s.p, base_opts());
+      machine.reset();  // replays the identical fault schedule
+      core::SolveResult r2 = solver.solve(machine, s.p, base_opts());
+      if (workers == 0) first = r1;
+      for (const core::SolveResult* r : {&r2, &first}) {
+        SCOPED_TRACE(std::string(solver.name) + " workers=" +
+                     std::to_string(workers));
+        EXPECT_EQ(r1.x, r->x);
+        EXPECT_EQ(r1.stats.converged, r->stats.converged);
+        EXPECT_EQ(r1.stats.iterations, r->stats.iterations);
+        EXPECT_EQ(r1.stats.restarts, r->stats.restarts);
+        EXPECT_EQ(r1.stats.time_total, r->stats.time_total);
+        EXPECT_EQ(r1.stats.residual_history, r->stats.residual_history);
+        EXPECT_EQ(r1.stats.block_sizes, r->stats.block_sizes);
+        EXPECT_EQ(r1.stats.recovery.faults_injected,
+                  r->stats.recovery.faults_injected);
+        EXPECT_EQ(r1.stats.recovery.kernel_faults,
+                  r->stats.recovery.kernel_faults);
+        EXPECT_EQ(r1.stats.recovery.transfer_retries,
+                  r->stats.recovery.transfer_retries);
+        EXPECT_EQ(r1.stats.recovery.blocks_replayed,
+                  r->stats.recovery.blocks_replayed);
+        EXPECT_EQ(r1.stats.recovery.rollbacks, r->stats.recovery.rollbacks);
+        EXPECT_EQ(r1.stats.recovery.time_lost, r->stats.recovery.time_lost);
+      }
+    }
+  }
 }
 
 TEST(Determinism, DeviceKillReplaysIdentically) {
@@ -751,6 +850,43 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<sim::SyncMode>& info) {
       return info.param == sim::SyncMode::kEvent ? "event" : "barrier";
     });
+
+// --- option validation -------------------------------------------------
+
+TEST(BadOptions, RejectedAtEntryBeforeAnythingIsCharged) {
+  // The adaptive_s floor above the block size used to run until the first
+  // TSQR breakdown shrank s past the shift sequence; every malformed
+  // option now fails at driver entry, for every solver, with the clock at 0.
+  const sparse::CsrMatrix a = sparse::make_laplace2d(30, 30, 0.1, 0.02);
+  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
+  const core::Problem p =
+      core::make_problem(a, b, 2, graph::Ordering::kNatural, true, 1);
+  core::SolverOptions good;
+  good.m = 36;
+  good.s = 12;
+  good.basis = core::Basis::kMonomial;
+  good.adaptive_s = true;
+  good.tol = 1e-8;
+  good.max_restarts = 20;
+  std::vector<core::SolverOptions> bad(5, good);
+  bad[0].adaptive_min_s = 20;  // above s
+  bad[1].adaptive_min_s = 0;
+  bad[2].m = 0;
+  bad[3].s = 0;
+  bad[4].max_block_replays = -1;
+  for (const NamedSolver& solver : {kCaGmres, kGmres, kPipelined}) {
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+      Machine machine(2);
+      try {
+        solver.solve(machine, p, bad[i]);
+        ADD_FAILURE() << solver.name << " accepted bad options #" << i;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kBadInput) << solver.name << " #" << i;
+      }
+      EXPECT_EQ(machine.clock().elapsed(), 0.0) << solver.name << " #" << i;
+    }
+  }
+}
 
 // --- adaptive-s coverage (satellite 3) --------------------------------
 

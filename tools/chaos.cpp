@@ -1,15 +1,17 @@
 // Chaos campaign driver (see src/sim/chaos.hpp and DESIGN.md §11).
 //
 // Default: generate --schedules randomized fault schedules from --seed, run
-// each over {barrier, event} x {0, 2 host workers} with alternating
-// CA-GMRES / GMRES, and check the invariant oracle. Any violation is
-// delta-debugged to a minimal reproducer and printed as a --faults spec.
-// Exit code 1 when violations were found.
+// each over {barrier, event} x {0, 2 host workers} alternating over the
+// --solver roster (CA-GMRES, GMRES, pipelined GMRES), and check the
+// invariant oracle. Any violation is delta-debugged to a minimal reproducer
+// and printed as a --faults spec. Exit code 1 when violations were found,
+// 2 on a malformed option or --faults spec.
 //
 //   ./tools/chaos --schedules=64 --seed=7
 //   ./tools/chaos --faults="seed=42;kill:*@t=5ms;corrupt:p=0.7" --solver=ca
 //   ./tools/chaos --schedules=16 --demo-bug-kills=2   # exercise the minimizer
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,7 +63,8 @@ int main(int argc, char** argv) {
   opts.add("matrix-scale", "1.0", "size scale for --matrix");
   opts.add("modes", "both", "sync modes to cover: barrier | event | both");
   opts.add("workers", "0,2", "host worker counts to cover");
-  opts.add("solver", "both", "ca | gmres | both (alternate by index)");
+  opts.add("solver", "ca,gmres,pipelined",
+           "comma list of ca | gmres | pipelined (alternate by index)");
   opts.add("precond", "",
            "ILU spec (e.g. ilu:k=1,underlap=1): widen the alternation with "
            "right-preconditioned drivers so faults land in precond setup "
@@ -78,33 +81,46 @@ int main(int argc, char** argv) {
   opts.add("progress", "0", "print one line per schedule");
   if (!opts.parse(argc, argv)) return 0;
 
-  ChaosConfig cfg;
-  cfg.n_devices = opts.get_int("devices");
-  cfg.n_nodes = opts.get_int("nodes");
-  cfg.matrix = opts.get("matrix");
-  cfg.matrix_scale = opts.get_double("matrix-scale");
-  cfg.min_devices = opts.get_int("min-devices");
-  cfg.degrade_to_cpu = opts.get_bool("degrade");
-  cfg.deadline_factor = opts.get_double("deadline-factor");
-  cfg.modes = parse_modes(opts.get("modes"));
-  cfg.worker_counts = opts.get_int_list("workers");
-  cfg.demo_bug_kills = opts.get_int("demo-bug-kills");
-  const std::string solver_arg = opts.get("solver");
-  cfg.both_solvers = solver_arg == "both";
-  cfg.precond = opts.get("precond");
-
-  ChaosRunner runner(cfg);
+  // Every input is parsed up front: a bad option or spec is one line on
+  // stderr and exit code 2, before any solve runs.
+  const std::string spec = opts.get("faults");
+  ChaosSchedule sched;
+  std::unique_ptr<ChaosRunner> runner_ptr;
+  try {
+    ChaosConfig cfg;
+    cfg.n_devices = opts.get_int("devices");
+    cfg.n_nodes = opts.get_int("nodes");
+    cfg.matrix = opts.get("matrix");
+    cfg.matrix_scale = opts.get_double("matrix-scale");
+    cfg.min_devices = opts.get_int("min-devices");
+    cfg.degrade_to_cpu = opts.get_bool("degrade");
+    cfg.deadline_factor = opts.get_double("deadline-factor");
+    cfg.modes = parse_modes(opts.get("modes"));
+    cfg.worker_counts = opts.get_int_list("workers");
+    cfg.demo_bug_kills = opts.get_int("demo-bug-kills");
+    cfg.solvers = cagmres::sim::parse_chaos_solvers(opts.get("solver"));
+    cfg.precond = opts.get("precond");
+    if (!spec.empty()) sched = ChaosSchedule::from_spec(spec);
+    runner_ptr = std::make_unique<ChaosRunner>(cfg);
+  } catch (const cagmres::Error& e) {
+    std::fprintf(stderr, "chaos: %s\n", e.what());
+    return 2;
+  }
+  ChaosRunner& runner = *runner_ptr;
   std::vector<ChaosViolation> violations;
 
-  const std::string spec = opts.get("faults");
   if (!spec.empty()) {
-    const ChaosSchedule sched = ChaosSchedule::from_spec(spec);
+    // One schedule, run once per roster solver (roster index i selects it).
     std::printf("schedule: %s\n", sched.to_spec().c_str());
-    violations = runner.run_schedule(sched, solver_arg == "gmres" ? 1 : 0);
+    const int n_solvers = static_cast<int>(runner.roster().size());
+    for (int i = 0; i < n_solvers; ++i) {
+      const std::vector<ChaosViolation> v = runner.run_schedule(sched, i);
+      violations.insert(violations.end(), v.begin(), v.end());
+    }
     if (violations.empty()) std::printf("ok: no invariant violations\n");
   } else {
     int n = opts.get_int("schedules");
-    if (!cfg.matrix.empty() && n > 16) {
+    if (!runner.config().matrix.empty() && n > 16) {
       // Paper-matrix analogs are orders of magnitude bigger than the 24x24
       // default; budget the campaign so a --matrix run stays in the same
       // wall-clock ballpark. Ask for <= 16 schedules explicitly to silence.
@@ -132,6 +148,13 @@ int main(int argc, char** argv) {
         stats.schedules, stats.zero_fault, stats.runs, stats.converged,
         stats.unconverged, stats.clean_errors, stats.watchdogs,
         stats.degraded);
+    for (const auto& [solver, mix] : stats.by_solver) {
+      std::printf(
+          "  %-24s %d runs: %d converged, %d unconverged, %d clean errors, "
+          "%d watchdog trips, %d degraded\n",
+          to_string(solver).c_str(), mix.runs, mix.converged,
+          mix.unconverged, mix.clean_errors, mix.watchdogs, mix.degraded);
+    }
     // Campaign-wide interconnect traffic; with CAGMRES_COMPRESS armed the
     // achieved per-tier compression ratio (payload/wire) rides along.
     const bool compressed = stats.peer_logical_bytes > stats.peer_bytes ||
