@@ -75,6 +75,46 @@ void BM_Gram_TallSkinny(benchmark::State& state) {
 }
 BENCHMARK(BM_Gram_TallSkinny)->Arg(1 << 14)->Arg(1 << 18);
 
+// The BOrth projection Q^T V: 45 earlier basis columns against a 16-column
+// block (s = 15 plus the overlap column), k rows per device.
+void BM_GemmTN_Projection(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int kq = 45, kv = 16;
+  const auto q = random_vec(static_cast<std::size_t>(n) * kq, 9);
+  const auto v = random_vec(static_cast<std::size_t>(n) * kv, 10);
+  std::vector<double> c(static_cast<std::size_t>(kq) * kv);
+  for (auto _ : state) {
+    blas::gemm(blas::Trans::T, blas::Trans::N, kq, kv, n, 1.0, q.data(), n,
+               v.data(), n, 0.0, c.data(), kq);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2ll * n * kq * kv);
+}
+BENCHMARK(BM_GemmTN_Projection)->Arg(1 << 14)->Arg(1 << 17);
+
+// The CholQR panel solve B := B R^{-1} on a 16-column block. R is unit
+// upper triangular with tiny off-diagonals, so repeated solves in place
+// keep B's scale.
+void BM_TrsmPanel(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int k = 16;
+  auto b = random_vec(static_cast<std::size_t>(n) * k, 11);
+  auto r = random_vec(static_cast<std::size_t>(k) * k, 12);
+  for (int j = 0; j < k; ++j) {
+    for (int i = 0; i < k; ++i) {
+      auto& e = r[static_cast<std::size_t>(j) * k + i];
+      e = i == j ? 1.0 : i < j ? 1e-8 * e : 0.0;
+    }
+  }
+  for (auto _ : state) {
+    blas::trsm_right_upper(n, k, r.data(), k, b.data(), n);
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * k * k);
+}
+BENCHMARK(BM_TrsmPanel)->Arg(1 << 14)->Arg(1 << 17);
+
 void BM_PanelQr(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int k = 30;
@@ -104,7 +144,7 @@ void BM_SpmvCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmvCsr)->Arg(10)->Arg(40);
 
-void BM_SpmvEll(benchmark::State& state) {
+void BM_SpmvSell(benchmark::State& state) {
   const auto a = sparse::make_laplace3d(40, 40, static_cast<int>(state.range(0)));
   const auto e = sparse::to_sell(a);
   const auto x = random_vec(static_cast<std::size_t>(a.n_rows), 8);
@@ -115,7 +155,27 @@ void BM_SpmvEll(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * a.nnz());
 }
-BENCHMARK(BM_SpmvEll)->Arg(10)->Arg(40);
+BENCHMARK(BM_SpmvSell)->Arg(10)->Arg(40);
+
+// One fused MPK step on the cant analog: SpMV, real Newton shift, and the
+// store into the basis column.
+void BM_SpmvSell_CantShiftStore(benchmark::State& state) {
+  const auto a = sparse::make_cant_like();
+  const auto e = sparse::to_sell(a);
+  const auto x = random_vec(static_cast<std::size_t>(a.n_rows), 13);
+  std::vector<double> y(static_cast<std::size_t>(a.n_rows));
+  std::vector<double> store(static_cast<std::size_t>(a.n_rows));
+  sparse::SellEpilogue ep;
+  ep.theta = 0.5;
+  ep.store = store.data();
+  for (auto _ : state) {
+    sparse::spmv(e, a.n_rows, x.data(), y.data(), ep);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(store.data());
+  }
+  state.SetItemsProcessed(state.iterations() * a.nnz());
+}
+BENCHMARK(BM_SpmvSell_CantShiftStore);
 
 }  // namespace
 

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 
+#include "blas/blas3.hpp"
+
 namespace cagmres::blas {
 
 void gemv_n(int m, int n, double alpha, const double* a, int lda,
@@ -21,15 +23,8 @@ void gemv_n(int m, int n, double alpha, const double* a, int lda,
 
 void gemv_t(int m, int n, double alpha, const double* a, int lda,
             const double* x, double beta, double* y) {
-  // One column per task: each output entry is an independent serial dot
-  // product, so the result is thread-count independent.
-#pragma omp parallel for schedule(static) if (static_cast<long long>(m) * n > 1 << 16)
-  for (int j = 0; j < n; ++j) {
-    const double* col = a + static_cast<std::size_t>(j) * lda;
-    double acc = 0.0;
-    for (int i = 0; i < m; ++i) acc += col[i] * x[i];
-    y[j] = alpha * acc + (beta == 0.0 ? 0.0 : beta * y[j]);
-  }
+  // The n x 1 product A^T x of the multi-chain T,N gemm.
+  gemm(Trans::T, Trans::N, n, 1, m, alpha, a, lda, x, m, beta, y, n);
 }
 
 void ger(int m, int n, double alpha, const double* x, const double* y,

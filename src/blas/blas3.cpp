@@ -6,22 +6,11 @@
 
 #include "common/error.hpp"
 
-// Blocking strategy (ISSUE 3 tentpole): the hot GEMM shapes here are tall-
-// skinny — a panel V of m rows by n,k <= s+1 columns, either V^T V (Gram,
-// Trans::T x Trans::N with the long dimension contracted) or V * R (panel
-// update, Trans::N x Trans::N with the long dimension kept). Both are
-// memory-bound, so the win is a single pass over V: block the long
-// dimension so every involved column block stays cache-resident, and
-// register-block the skinny dimension (4 fused terms per pass) to amortize
-// loads of the running sums. The transposed-B branches (N,T and T,T) use
-// the same two schemes, so every gemm shape is now cache-blocked.
-//
-// Determinism contract: every output element accumulates its inner-
-// dimension terms ONE AT A TIME in the same order as the naive triple
-// loop; between cache blocks the running sum is spilled through memory and
-// picked back up. The operation sequence per element is therefore
-// unchanged, and results are bit-identical to the pre-blocked kernels for
-// any block size or OpenMP thread count.
+// Blocking and multi-chain contract: DESIGN.md §9 "Cache-blocked
+// tall-skinny BLAS". Every output element adds its inner-dimension terms
+// one at a time in the naive loop's order; blocking and register tiling only
+// interleave the chains of different outputs, so results are bit-identical
+// to the naive loops for any block size or OpenMP thread count.
 
 namespace cagmres::blas {
 
@@ -34,6 +23,94 @@ inline const double* elem(const double* a, int lda, int i, int j) {
 /// Rows of the long dimension per cache block: with n <= 32 skinny columns
 /// the working set is n * 1024 * 8B <= 256 KiB, L2-resident.
 constexpr int kLongBlock = 1024;
+
+/// Register tile of the dot-product kernels: kTileI x kTileJ running sums
+/// advance together over p.
+constexpr int kTileI = 4;
+constexpr int kTileJ = 2;
+
+/// acc(i, j) += sum_{p0 <= p < p1} A(p, i) * B(p, j) for an MI x NJ tile,
+/// with A(p, i) = a[i * lda + p] and B(p, j) = b[p * bp + j * bj].
+template <int MI, int NJ>
+void dot_tile(const double* a, int lda, const double* b, std::ptrdiff_t bp,
+              std::ptrdiff_t bj, int p0, int p1, double* acc, int ldacc) {
+  double s[MI][NJ];
+#pragma GCC unroll 4
+  for (int i = 0; i < MI; ++i) {
+#pragma GCC unroll 4
+    for (int j = 0; j < NJ; ++j) {
+      s[i][j] = acc[static_cast<std::size_t>(j) * ldacc + i];
+    }
+  }
+  for (int p = p0; p < p1; ++p) {
+    double bv[NJ];
+#pragma GCC unroll 4
+    for (int j = 0; j < NJ; ++j) bv[j] = b[p * bp + j * bj];
+#pragma GCC unroll 4
+    for (int i = 0; i < MI; ++i) {
+      const double av = a[static_cast<std::size_t>(i) * lda + p];
+#pragma GCC unroll 4
+      for (int j = 0; j < NJ; ++j) s[i][j] += av * bv[j];
+    }
+  }
+#pragma GCC unroll 4
+  for (int i = 0; i < MI; ++i) {
+#pragma GCC unroll 4
+    for (int j = 0; j < NJ; ++j) {
+      acc[static_cast<std::size_t>(j) * ldacc + i] = s[i][j];
+    }
+  }
+}
+
+/// dot_tile over `rows` <= kTileI consecutive outputs i of NJ columns.
+template <int NJ>
+void dot_rows(int rows, const double* a, int lda, const double* b,
+              std::ptrdiff_t bp, std::ptrdiff_t bj, int p0, int p1,
+              double* acc, int ldacc) {
+  if (rows == kTileI) {
+    dot_tile<kTileI, NJ>(a, lda, b, bp, bj, p0, p1, acc, ldacc);
+    return;
+  }
+  for (int i = 0; i < rows; ++i) {
+    dot_tile<1, NJ>(a + static_cast<std::size_t>(i) * lda, lda, b, bp, bj,
+                    p0, p1, acc + i, ldacc);
+  }
+}
+
+/// acc(i, j) += dot(A(:, i), B(:, j)) over k rows for i < m, j < n — or,
+/// when `upper`, over at least the tiles holding i <= j. The long dimension
+/// is blocked so the m + n column blocks stay cache-resident, with the
+/// running sums spilled through acc between blocks. One parallel region
+/// covers every block: the static schedule hands each thread the same
+/// tiles in every block, so no barrier is needed between them.
+void dot_block(int m, int n, int k, const double* a, int lda, const double* b,
+               std::ptrdiff_t bp, std::ptrdiff_t bj, double* acc, int ldacc,
+               bool upper) {
+  const int ti = (m + kTileI - 1) / kTileI;
+  const int tiles = ti * ((n + kTileJ - 1) / kTileJ);
+#pragma omp parallel if (static_cast<long long>(m) * k > 1 << 16)
+  for (int p0 = 0; p0 < k; p0 += kLongBlock) {
+    const int p1 = std::min(k, p0 + kLongBlock);
+#pragma omp for schedule(static, 1) nowait
+    for (int t = 0; t < tiles; ++t) {
+      const int i0 = t % ti * kTileI;
+      const int j0 = t / ti * kTileJ;
+      if (upper && i0 >= j0 + kTileJ) continue;  // below the diagonal
+      const int rows = std::min(kTileI, m - i0);
+      const double* ai = a + static_cast<std::size_t>(i0) * lda;
+      if (j0 + kTileJ <= n) {
+        dot_rows<kTileJ>(rows, ai, lda, b + j0 * bj, bp, bj, p0, p1,
+                         acc + static_cast<std::size_t>(j0) * ldacc + i0,
+                         ldacc);
+        continue;
+      }
+      for (int j = j0; j < n; ++j) {
+        dot_rows<1>(rows, ai, lda, b + j * bj, bp, bj, p0, p1,
+                    acc + static_cast<std::size_t>(j) * ldacc + i0, ldacc);
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -51,7 +128,22 @@ void gemm(Trans ta, Trans tb, int m, int n, int k, double alpha,
   }
   if (alpha == 0.0 || k == 0) return;
 
-  if (ta == Trans::N && tb == Trans::N) {
+  if (ta == Trans::T) {
+    // C(i,j) += alpha * dot(A(:,i), op(B)(:,j)) — the V^T W Gram/projection
+    // shape (k large; m, n skinny). The dots accumulate in an m x n scratch
+    // and alpha is applied once at the end.
+    std::vector<double> acc(static_cast<std::size_t>(m) * n, 0.0);
+    const std::ptrdiff_t bp = tb == Trans::N ? 1 : ldb;
+    const std::ptrdiff_t bj = tb == Trans::N ? ldb : 1;
+    dot_block(m, n, k, a, lda, b, bp, bj, acc.data(), m, false);
+    for (int j = 0; j < n; ++j) {
+      double* cj = c + static_cast<std::size_t>(j) * ldc;
+      const double* accj = acc.data() + static_cast<std::size_t>(j) * m;
+      for (int i = 0; i < m; ++i) cj[i] += alpha * accj[i];
+    }
+    return;
+  }
+  if (tb == Trans::N) {
     // C += alpha * A * B — the V * R panel-update shape (m large; n, k
     // skinny). Row-blocked so an i-block of A (all k columns of it) stays
     // cache-resident across the n output columns: A streams from DRAM
@@ -88,39 +180,7 @@ void gemm(Trans ta, Trans tb, int m, int n, int k, double alpha,
         }
       }
     }
-  } else if (ta == Trans::T && tb == Trans::N) {
-    // C(i,j) += alpha * dot(A(:,i), B(:,j)) — the V^T W Gram/projection
-    // shape (k large; m, n skinny). The contracted dimension is blocked so
-    // all m + n column blocks stay cache-resident; the running dot for
-    // each (i,j) is spilled through a small m x n scratch between blocks.
-    std::vector<double> acc(static_cast<std::size_t>(m) * n, 0.0);
-    for (int p0 = 0; p0 < k; p0 += kLongBlock) {
-      const int p1 = std::min(k, p0 + kLongBlock);
-#pragma omp parallel for schedule(static) if (static_cast<long long>(m) * k > 1 << 16)
-      for (int j = 0; j < n; ++j) {
-        const double* bj = b + static_cast<std::size_t>(j) * ldb;
-        double* accj = acc.data() + static_cast<std::size_t>(j) * m;
-        for (int i = 0; i < m; ++i) {
-          const double* ai = a + static_cast<std::size_t>(i) * lda;
-          double s = accj[i];
-          int p = p0;
-          for (; p + 4 <= p1; p += 4) {
-            s += ai[p] * bj[p];
-            s += ai[p + 1] * bj[p + 1];
-            s += ai[p + 2] * bj[p + 2];
-            s += ai[p + 3] * bj[p + 3];
-          }
-          for (; p < p1; ++p) s += ai[p] * bj[p];
-          accj[i] = s;
-        }
-      }
-    }
-    for (int j = 0; j < n; ++j) {
-      double* cj = c + static_cast<std::size_t>(j) * ldc;
-      const double* accj = acc.data() + static_cast<std::size_t>(j) * m;
-      for (int i = 0; i < m; ++i) cj[i] += alpha * accj[i];
-    }
-  } else if (ta == Trans::N && tb == Trans::T) {
+  } else {
     // C += alpha * A * B^T — long dimension kept, like N,N but with B read
     // across a row. Row-blocked the same way: an i-block of A's k columns
     // stays cache-resident across the n output columns, with four p terms
@@ -157,68 +217,17 @@ void gemm(Trans ta, Trans tb, int m, int n, int k, double alpha,
         }
       }
     }
-  } else {  // T, T
-    // C(i,j) += alpha * dot(A(:,i), B(j,:)) — contracted dimension blocked
-    // like T,N, with the running dot spilled through an m x n scratch
-    // between p-blocks. Inner accumulation stays strictly p-ordered, so the
-    // result is bit-identical to the naive j/i/p loop this replaces.
-    std::vector<double> acc(static_cast<std::size_t>(m) * n, 0.0);
-    for (int p0 = 0; p0 < k; p0 += kLongBlock) {
-      const int p1 = std::min(k, p0 + kLongBlock);
-#pragma omp parallel for schedule(static) if (static_cast<long long>(m) * k > 1 << 16)
-      for (int j = 0; j < n; ++j) {
-        double* accj = acc.data() + static_cast<std::size_t>(j) * m;
-        for (int i = 0; i < m; ++i) {
-          const double* ai = a + static_cast<std::size_t>(i) * lda;
-          double s = accj[i];
-          for (int p = p0; p < p1; ++p) s += ai[p] * *elem(b, ldb, j, p);
-          accj[i] = s;
-        }
-      }
-    }
-    for (int j = 0; j < n; ++j) {
-      double* cj = c + static_cast<std::size_t>(j) * ldc;
-      const double* accj = acc.data() + static_cast<std::size_t>(j) * m;
-      for (int i = 0; i < m; ++i) cj[i] += alpha * accj[i];
-    }
   }
 }
 
 void syrk_tn(int m, int n, const double* a, int lda, double* c, int ldc) {
-  // Single cache-blocked pass over the tall panel: a block of kLongBlock
-  // rows of all n columns stays resident while every Gram pair consumes
-  // it, so V streams from DRAM once instead of ~n/2 times. The running sum
-  // for each c(i,j) is spilled through the output between blocks and the
-  // inner loop stays strictly p-ordered (4 terms fused per pass, added one
-  // at a time), so the result is bit-identical to a naive serial dot for
-  // any block size or thread count. Each (i,j) is owned by one thread.
-  const bool big = static_cast<long long>(m) * n > 1 << 16;
+  // One cache-blocked pass over the tall panel accumulates the upper
+  // triangle in place; the diagonal tiles also cover a few lower entries,
+  // which hold the same sums and are overwritten by the mirror below.
   for (int j = 0; j < n; ++j) {
-    for (int i = 0; i <= j; ++i) {
-      c[static_cast<std::size_t>(j) * ldc + i] = 0.0;
-    }
+    std::fill_n(c + static_cast<std::size_t>(j) * ldc, n, 0.0);
   }
-  for (int p0 = 0; p0 < m; p0 += kLongBlock) {
-    const int p1 = std::min(m, p0 + kLongBlock);
-#pragma omp parallel for schedule(dynamic) if (big)
-    for (int j = 0; j < n; ++j) {
-      const double* aj = a + static_cast<std::size_t>(j) * lda;
-      double* cj = c + static_cast<std::size_t>(j) * ldc;
-      for (int i = 0; i <= j; ++i) {
-        const double* ai = a + static_cast<std::size_t>(i) * lda;
-        double s = cj[i];
-        int p = p0;
-        for (; p + 4 <= p1; p += 4) {
-          s += ai[p] * aj[p];
-          s += ai[p + 1] * aj[p + 1];
-          s += ai[p + 2] * aj[p + 2];
-          s += ai[p + 3] * aj[p + 3];
-        }
-        for (; p < p1; ++p) s += ai[p] * aj[p];
-        cj[i] = s;
-      }
-    }
-  }
+  dot_block(n, n, m, a, lda, a, 1, lda, c, ldc, true);
   for (int j = 0; j < n; ++j) {
     for (int i = 0; i < j; ++i) {
       c[static_cast<std::size_t>(i) * ldc + j] =
@@ -229,20 +238,45 @@ void syrk_tn(int m, int n, const double* a, int lda, double* c, int ldc) {
 
 void trsm_right_upper(int m, int n, const double* r, int ldr, double* b,
                       int ldb) {
-  // Column j of B*R^{-1} depends only on columns 0..j of B: solve left to
-  // right, subtracting the already-finished columns.
+  // Checked before B is touched: a singular R throws with B unchanged, and
+  // no throw has to leave the parallel region below.
   for (int j = 0; j < n; ++j) {
-    double* bj = b + static_cast<std::size_t>(j) * ldb;
-    for (int p = 0; p < j; ++p) {
-      const double t = *elem(r, ldr, p, j);
-      if (t == 0.0) continue;
-      const double* bp = b + static_cast<std::size_t>(p) * ldb;
-      for (int i = 0; i < m; ++i) bj[i] -= t * bp[i];
+    CAGMRES_REQUIRE(*elem(r, ldr, j, j) != 0.0, "trsm: zero diagonal in R");
+  }
+  // Column j of B*R^{-1} depends only on columns 0..j of B: solve left to
+  // right, subtracting the already-finished columns (zero R entries are
+  // skipped), then scale. Row-blocked like the N,N gemm so a block of all
+  // n columns stays cache-resident; four nonzero terms are fused per pass
+  // over the block and subtracted one at a time in p order.
+#pragma omp parallel for schedule(static) if (static_cast<long long>(m) * n * n > 1 << 18)
+  for (int i0 = 0; i0 < m; i0 += kLongBlock) {
+    const int i1 = std::min(m, i0 + kLongBlock);
+    for (int j = 0; j < n; ++j) {
+      double* bj = b + static_cast<std::size_t>(j) * ldb;
+      double t[4];
+      const double* bp[4];
+      int cnt = 0;
+      for (int p = 0; p < j; ++p) {
+        t[cnt] = *elem(r, ldr, p, j);
+        if (t[cnt] == 0.0) continue;
+        bp[cnt] = b + static_cast<std::size_t>(p) * ldb;
+        if (++cnt < 4) continue;
+        for (int i = i0; i < i1; ++i) {
+          double x = bj[i];
+          x -= t[0] * bp[0][i];
+          x -= t[1] * bp[1][i];
+          x -= t[2] * bp[2][i];
+          x -= t[3] * bp[3][i];
+          bj[i] = x;
+        }
+        cnt = 0;
+      }
+      for (int u = 0; u < cnt; ++u) {
+        for (int i = i0; i < i1; ++i) bj[i] -= t[u] * bp[u][i];
+      }
+      const double inv = 1.0 / *elem(r, ldr, j, j);
+      for (int i = i0; i < i1; ++i) bj[i] *= inv;
     }
-    const double d = *elem(r, ldr, j, j);
-    CAGMRES_REQUIRE(d != 0.0, "trsm: zero diagonal in R");
-    const double inv = 1.0 / d;
-    for (int i = 0; i < m; ++i) bj[i] *= inv;
   }
 }
 

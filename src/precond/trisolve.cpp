@@ -1,16 +1,46 @@
 #include "precond/trisolve.hpp"
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 namespace cagmres::precond {
 
 namespace {
 
-/// Injected transient kernel fault on a trisolve level: NaN-poison the
-/// rows that level produced, mirroring mpk/exec.cpp.
-void poison_rows(double* out, const int* rows, int n) {
+/// Charges one kernel per level of `s`, in level order, and returns the
+/// levels an injected transient kernel fault hit (ascending).
+std::vector<int> charge_levels(sim::Machine& m, int d, const LevelSchedule& s,
+                               double row_flops, double row_bytes) {
+  std::vector<int> hits;
+  for (int l = 0; l < s.levels(); ++l) {
+    const int rows = s.level_rows(l);
+    const double nnz = s.level_nnz[static_cast<std::size_t>(l)];
+    m.charge_device(d, sim::Kernel::kSpmvCsr, 2.0 * nnz + row_flops * rows,
+                    nnz * 20.0 + row_bytes * rows);
+    if (m.consume_kernel_fault(d)) hits.push_back(l);
+  }
+  return hits;
+}
+
+/// Runs every level of `s` in order, level l's rows in parallel through
+/// `row(i)`. A hit level NaN-poisons the rows it produced before the next
+/// level reads them, mirroring mpk/exec.cpp.
+template <class Row>
+void sweep(const LevelSchedule& s, const std::vector<int>& hits, double* out,
+           Row row) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (int i = 0; i < n; ++i) out[rows[i]] = nan;
+  auto hit = hits.begin();
+  for (int l = 0; l < s.levels(); ++l) {
+    const int* ord = s.order.data() + s.level_ptr[static_cast<std::size_t>(l)];
+    const int rows = s.level_rows(l);
+#pragma omp parallel for schedule(static) if (rows > 1 << 10)
+    for (int r = 0; r < rows; ++r) row(ord[r]);
+    if (hit != hits.end() && *hit == l) {
+      for (int r = 0; r < rows; ++r) out[ord[r]] = nan;
+      ++hit;
+    }
+  }
 }
 
 }  // namespace
@@ -21,58 +51,37 @@ void level_trisolve(sim::Machine& m, int d, const DeviceFactor& f,
 
   // Forward sweep: L y = in, unit diagonal. out[i] = in[i] - sum l_ij y[j]
   // with every j in an earlier level, so the whole level is one parallel
-  // kernel. Charged per level like the boundary SpMV in mpk/exec.cpp.
-  for (int l = 0; l < f.l_sched.levels(); ++l) {
-    const int lo = f.l_sched.level_ptr[static_cast<std::size_t>(l)];
-    const int rows = f.l_sched.level_rows(l);
-    const double nnz = f.l_sched.level_nnz[static_cast<std::size_t>(l)];
-    m.charge_device(d, sim::Kernel::kSpmvCsr, 2.0 * nnz,
-                    nnz * 20.0 + 16.0 * rows);
-    const bool hit = m.consume_kernel_fault(d);
-    m.run_on_device(d, [=] {
-      const int* ord = fp->l_sched.order.data() + lo;
-#pragma omp parallel for schedule(static) if (rows > 1 << 10)
-      for (int r = 0; r < rows; ++r) {
-        const int i = ord[r];
-        double acc = in[i];
-        const auto plo = fp->l_ptr[static_cast<std::size_t>(i)];
-        const auto phi = fp->l_ptr[static_cast<std::size_t>(i) + 1];
-        for (auto p = plo; p < phi; ++p) {
-          acc -= fp->l_val[static_cast<std::size_t>(p)] *
-                 out[fp->l_idx[static_cast<std::size_t>(p)]];
-        }
-        out[i] = acc;
+  // kernel. Charged per level like the boundary SpMV in mpk/exec.cpp; the
+  // sweep's levels run in one closure on the device's stream.
+  std::vector<int> hits = charge_levels(m, d, f.l_sched, 0.0, 16.0);
+  m.run_on_device(d, [=, hits = std::move(hits)] {
+    sweep(fp->l_sched, hits, out, [=](int i) {
+      double acc = in[i];
+      const auto plo = fp->l_ptr[static_cast<std::size_t>(i)];
+      const auto phi = fp->l_ptr[static_cast<std::size_t>(i) + 1];
+      for (auto p = plo; p < phi; ++p) {
+        acc -= fp->l_val[static_cast<std::size_t>(p)] *
+               out[fp->l_idx[static_cast<std::size_t>(p)]];
       }
-      if (hit) poison_rows(out, ord, rows);
+      out[i] = acc;
     });
-  }
+  });
   // Backward sweep, in place: U x = y with the diagonal held inverted.
   // out[i] = (out[i] - sum u_ij out[j]) * inv_diag[i], dependencies in
   // earlier (higher-row) levels.
-  for (int l = 0; l < f.u_sched.levels(); ++l) {
-    const int lo = f.u_sched.level_ptr[static_cast<std::size_t>(l)];
-    const int rows = f.u_sched.level_rows(l);
-    const double nnz = f.u_sched.level_nnz[static_cast<std::size_t>(l)];
-    m.charge_device(d, sim::Kernel::kSpmvCsr, 2.0 * nnz + rows,
-                    nnz * 20.0 + 24.0 * rows);
-    const bool hit = m.consume_kernel_fault(d);
-    m.run_on_device(d, [=] {
-      const int* ord = fp->u_sched.order.data() + lo;
-#pragma omp parallel for schedule(static) if (rows > 1 << 10)
-      for (int r = 0; r < rows; ++r) {
-        const int i = ord[r];
-        double acc = out[i];
-        const auto plo = fp->u_ptr[static_cast<std::size_t>(i)];
-        const auto phi = fp->u_ptr[static_cast<std::size_t>(i) + 1];
-        for (auto p = plo; p < phi; ++p) {
-          acc -= fp->u_val[static_cast<std::size_t>(p)] *
-                 out[fp->u_idx[static_cast<std::size_t>(p)]];
-        }
-        out[i] = acc * fp->inv_diag[static_cast<std::size_t>(i)];
+  hits = charge_levels(m, d, f.u_sched, 1.0, 24.0);
+  m.run_on_device(d, [=, hits = std::move(hits)] {
+    sweep(fp->u_sched, hits, out, [=](int i) {
+      double acc = out[i];
+      const auto plo = fp->u_ptr[static_cast<std::size_t>(i)];
+      const auto phi = fp->u_ptr[static_cast<std::size_t>(i) + 1];
+      for (auto p = plo; p < phi; ++p) {
+        acc -= fp->u_val[static_cast<std::size_t>(p)] *
+               out[fp->u_idx[static_cast<std::size_t>(p)]];
       }
-      if (hit) poison_rows(out, ord, rows);
+      out[i] = acc * fp->inv_diag[static_cast<std::size_t>(i)];
     });
-  }
+  });
 }
 
 }  // namespace cagmres::precond

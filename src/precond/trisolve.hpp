@@ -13,8 +13,9 @@ namespace cagmres::precond {
 
 /// Applies M^{-1} = U^{-1} L^{-1} of device d's factor to `in` (length
 /// f.n(), the device's local rows), writing `out` (may alias `in`).
-/// Dispatches one charged kernel per L level (forward) then per U level
-/// (backward); kernels run on device d's in-order stream. Charges land on
+/// Charges one kernel per L level (forward) then per U level (backward);
+/// each sweep's levels run as one closure on device d's in-order stream,
+/// poisoning the rows of any level a kernel fault hit. Charges land on
 /// the calling thread in program order, keeping simulated time bitwise
 /// identical across sync modes and worker counts.
 void level_trisolve(sim::Machine& m, int d, const DeviceFactor& f,

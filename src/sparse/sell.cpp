@@ -106,18 +106,23 @@ void spmv(const SellMatrix& a, int rows, const double* x, double* y,
     const auto width = (a.slice_slot[static_cast<std::size_t>(j) + 1] - s0) / h;
     const double* v = a.vals.data() + s0;
     const int* c = a.col_idx.data() + s0;
+    // Slot-major sweep: the slice's h rows are h independent chains, each
+    // still adding its slots in order (DESIGN.md §9).
+    double acc[SellMatrix::kSliceHeight] = {};
+    for (std::int64_t k = 0; k < width; ++k) {
+      const double* vk = v + k * h;
+      const int* ck = c + k * h;
+      for (int r = 0; r < h; ++r) acc[r] += vk[r] * x[ck[r]];
+    }
     for (int r = 0; r < h; ++r) {
-      double acc = 0.0;
-      for (std::int64_t k = 0; k < width; ++k) {
-        acc += v[k * h + r] * x[c[k * h + r]];
-      }
       const int out = a.row[static_cast<std::size_t>(r0 + r)];
+      double t = acc[r];
       if (shifted) {
-        acc -= ep.theta * x[out];
-        if (ep.x2 != nullptr) acc += ep.beta2 * ep.x2[out];
+        t -= ep.theta * x[out];
+        if (ep.x2 != nullptr) t += ep.beta2 * ep.x2[out];
       }
-      y[out] = acc;
-      if (ep.store != nullptr) ep.store[out] = acc;
+      y[out] = t;
+      if (ep.store != nullptr) ep.store[out] = t;
     }
   }
 }

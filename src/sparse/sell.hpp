@@ -78,8 +78,9 @@ struct SellEpilogue {
 };
 
 /// Runs the first `rows` stored rows (a whole number of slices) with the
-/// given epilogue. Rows are independent and each accumulates serially, so
-/// the result is bitwise identical for any thread count.
+/// given epilogue. Each row adds its slots one at a time in slot order (the
+/// multi-chain contract of DESIGN.md §9), so the result is bitwise
+/// identical for any thread count.
 void spmv(const SellMatrix& a, int rows, const double* x, double* y,
           const SellEpilogue& ep = {});
 

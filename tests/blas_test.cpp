@@ -1,6 +1,8 @@
 // Unit tests for the dense BLAS / LAPACK-lite substrate.
 #include <cmath>
 #include <complex>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +40,32 @@ double frob_diff(const DMat& a, const DMat& b) {
   }
   return std::sqrt(acc);
 }
+
+/// A rows x cols column-major panel whose leading dimension exceeds rows.
+/// The gap rows hold NaN, so a kernel that reads past a column poisons its
+/// result.
+struct Panel {
+  int ld;
+  std::vector<double> v;
+  Panel(int r, int c, Rng& rng)
+      : ld(r + 3),
+        v(static_cast<std::size_t>(ld) * c,
+          std::numeric_limits<double>::quiet_NaN()) {
+    for (int j = 0; j < c; ++j) {
+      for (int i = 0; i < r; ++i) (*this)(i, j) = rng.normal();
+    }
+  }
+  double& operator()(int i, int j) {
+    return v[static_cast<std::size_t>(j) * ld + i];
+  }
+  double* data() { return v.data(); }
+};
+
+/// Shapes of the bitwise kernel tests: skinny counts 1, 3, 5, 17 hit every
+/// register-tile tail; 3900 rows cross kLongBlock three times, and with 17
+/// columns pass the kernels' OpenMP thresholds.
+constexpr int kSkinny[] = {1, 3, 5, 17};
+constexpr int kLong = 3900;
 
 TEST(Blas1, DotAxpyScalCopy) {
   const int n = 257;
@@ -86,11 +114,10 @@ TEST(Blas2, GemvAgainstReference) {
   const int m = 37, n = 11;
   Rng rng(3);
   DMat a = random_matrix(m, n, rng);
-  std::vector<double> x(n), y(m, 1.0), xt(m), yt(n, 2.0);
+  std::vector<double> x(n), y(m, 1.0);
   for (int j = 0; j < n; ++j) x[j] = rng.normal();
-  for (int i = 0; i < m; ++i) xt[i] = rng.normal();
 
-  std::vector<double> y_ref(m), yt_ref(n);
+  std::vector<double> y_ref(m);
   for (int i = 0; i < m; ++i) {
     double acc = 0.0;
     for (int j = 0; j < n; ++j) acc += a(i, j) * x[j];
@@ -99,13 +126,27 @@ TEST(Blas2, GemvAgainstReference) {
   gemv_n(m, n, 1.5, a.data(), a.ld(), x.data(), 0.5, y.data());
   for (int i = 0; i < m; ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-12);
 
-  for (int j = 0; j < n; ++j) {
-    double acc = 0.0;
-    for (int i = 0; i < m; ++i) acc += a(i, j) * xt[i];
-    yt_ref[j] = -1.0 * acc + 2.0 * 2.0;
+  // gemv_t is exact: each y[j] adds its terms in row order, as the naive
+  // dot does.
+  for (const int n_cols : kSkinny) {
+    for (const double beta : {0.0, -0.5}) {
+      Panel at(kLong, n_cols, rng);
+      std::vector<double> xt(kLong), yt(n_cols), yt0(n_cols);
+      for (auto& e : xt) e = rng.normal();
+      for (auto& e : yt0) e = rng.normal();
+      yt = yt0;
+      const double alpha = -1.25;
+      gemv_t(kLong, n_cols, alpha, at.data(), at.ld, xt.data(), beta,
+             yt.data());
+      for (int j = 0; j < n_cols; ++j) {
+        double acc = 0.0;
+        for (int i = 0; i < kLong; ++i) acc += at(i, j) * xt[i];
+        const double ref = alpha * acc + (beta == 0.0 ? 0.0 : beta * yt0[j]);
+        EXPECT_EQ(yt[j], ref) << "cols=" << n_cols << " beta=" << beta
+                              << " j=" << j;
+      }
+    }
   }
-  gemv_t(m, n, -1.0, a.data(), a.ld(), xt.data(), 2.0, yt.data());
-  for (int j = 0; j < n; ++j) EXPECT_NEAR(yt[j], yt_ref[j], 1e-12);
 }
 
 TEST(Blas2, GerRank1Update) {
@@ -211,42 +252,88 @@ TEST(Blas3, GemmTransTransWithAlphaBeta) {
 // the reference triple loop on shapes that straddle the block boundary and
 // the OpenMP-enable thresholds.
 TEST(Blas3, BlockedTallSkinnyPathsMatchReference) {
-  const int m = 3000, k = 7;  // crosses kLongBlock twice, m*k > 1<<14
+  // T,N gemm, syrk_tn and trsm_right_upper interleave the sums of different
+  // outputs but keep each output's term order, so they equal the naive
+  // loops bitwise.
   Rng rng(56);
-  DMat v = random_matrix(m, k, rng);
-  DMat w = random_matrix(m, k, rng);
-
-  // Gram product V^T W (T,N path).
-  DMat g(k, k), g_ref(k, k);
-  gemm(Trans::T, Trans::N, k, k, m, 1.0, v.data(), v.ld(), w.data(), w.ld(),
-       0.0, g.data(), g.ld());
-  for (int j = 0; j < k; ++j) {
-    for (int i = 0; i < k; ++i) {
-      double acc = 0.0;
-      for (int p = 0; p < m; ++p) acc += v(p, i) * w(p, j);
-      g_ref(i, j) = acc;
+  for (const int ka : kSkinny) {
+    for (const int kb : kSkinny) {
+      for (const double beta : {0.0, -0.5}) {
+        Panel v(kLong, ka, rng);
+        Panel w(kLong, kb, rng);
+        const DMat c0 = random_matrix(ka, kb, rng);
+        DMat g = c0;
+        const double alpha = 1.5;
+        gemm(Trans::T, Trans::N, ka, kb, kLong, alpha, v.data(), v.ld,
+             w.data(), w.ld, beta, g.data(), g.ld());
+        for (int j = 0; j < kb; ++j) {
+          for (int i = 0; i < ka; ++i) {
+            double acc = 0.0;
+            for (int p = 0; p < kLong; ++p) acc += v(p, i) * w(p, j);
+            const double ref =
+                (beta == 0.0 ? 0.0 : beta * c0(i, j)) + alpha * acc;
+            EXPECT_EQ(g(i, j), ref) << "T,N " << ka << "x" << kb
+                                    << " beta=" << beta << " (" << i << ","
+                                    << j << ")";
+          }
+        }
+        // Panel update W <- W - V G (N,N path, the BOrth projection shape).
+        Panel upd = w;
+        gemm(Trans::N, Trans::N, kLong, kb, ka, -1.0, v.data(), v.ld,
+             g.data(), g.ld(), 1.0, upd.data(), upd.ld);
+        for (int j = 0; j < kb; ++j) {
+          for (int i = 0; i < kLong; ++i) {
+            double acc = w(i, j);
+            for (int p = 0; p < ka; ++p) acc += (-1.0 * g(p, j)) * v(i, p);
+            EXPECT_EQ(upd(i, j), acc) << "N,N " << ka << "x" << kb << " ("
+                                      << i << "," << j << ")";
+          }
+        }
+      }
     }
   }
-  EXPECT_LT(frob_diff(g, g_ref), 1e-9 * std::sqrt(static_cast<double>(m)));
 
-  // Panel update V <- V - W G (N,N path, the BOrth projection shape).
-  DMat upd = v;
-  gemm(Trans::N, Trans::N, m, k, k, -1.0, w.data(), w.ld(), g.data(), g.ld(),
-       1.0, upd.data(), upd.ld());
-  for (int j = 0; j < k; ++j) {
-    for (int i = 0; i < m; ++i) {
-      double acc = 0.0;
-      for (int p = 0; p < k; ++p) acc += w(i, p) * g(p, j);
-      EXPECT_NEAR(upd(i, j), v(i, j) - acc, 1e-9);
+  for (const int k : kSkinny) {
+    Panel v(kLong, k, rng);
+    DMat s(k, k);
+    syrk_tn(kLong, k, v.data(), v.ld, s.data(), s.ld());
+    for (int j = 0; j < k; ++j) {
+      for (int i = 0; i <= j; ++i) {
+        double acc = 0.0;
+        for (int p = 0; p < kLong; ++p) acc += v(p, i) * v(p, j);
+        EXPECT_EQ(s(i, j), acc) << "syrk k=" << k << " (" << i << "," << j
+                                << ")";
+        EXPECT_EQ(s(j, i), acc);
+      }
     }
   }
 
-  // syrk against the blocked T,N gemm on the same panel.
-  DMat s(k, k), s_ref(k, k);
-  syrk_tn(m, k, v.data(), v.ld(), s.data(), s.ld());
-  gemm(Trans::T, Trans::N, k, k, m, 1.0, v.data(), v.ld(), v.data(), v.ld(),
-       0.0, s_ref.data(), s_ref.ld());
-  EXPECT_LT(frob_diff(s, s_ref), 1e-9 * std::sqrt(static_cast<double>(m)));
+  for (const int k : kSkinny) {
+    // Some zero entries above the diagonal: the solve skips them, which
+    // matters for signed zeros and non-finite B.
+    DMat r(k, k);
+    for (int j = 0; j < k; ++j) {
+      for (int i = 0; i < j; ++i) r(i, j) = (i + j) % 3 == 0 ? 0.0 : rng.normal();
+      r(j, j) = 2.0 + rng.uniform();
+    }
+    Panel b(kLong, k, rng);
+    Panel ref = b;
+    trsm_right_upper(kLong, k, r.data(), r.ld(), b.data(), b.ld);
+    for (int j = 0; j < k; ++j) {
+      for (int p = 0; p < j; ++p) {
+        if (r(p, j) == 0.0) continue;
+        for (int i = 0; i < kLong; ++i) ref(i, j) -= r(p, j) * ref(i, p);
+      }
+      const double inv = 1.0 / r(j, j);
+      for (int i = 0; i < kLong; ++i) ref(i, j) *= inv;
+    }
+    for (int j = 0; j < k; ++j) {
+      for (int i = 0; i < kLong; ++i) {
+        EXPECT_EQ(b(i, j), ref(i, j)) << "trsm k=" << k << " (" << i << ","
+                                      << j << ")";
+      }
+    }
+  }
 }
 
 // The transposed-B branches (N,T and T,T) share the blocking schemes above
@@ -333,12 +420,22 @@ TEST(Blas3, TrsmThenTrmmRoundTrips) {
 }
 
 TEST(Blas3, TrsmSingularThrows) {
-  DMat r(2, 2);
-  r(0, 0) = 1.0;
-  r(1, 1) = 0.0;
-  DMat b(3, 2);
-  EXPECT_THROW(trsm_right_upper(3, 2, r.data(), r.ld(), b.data(), b.ld()),
+  // The zero pivot is checked before B is touched, so B comes back
+  // unchanged — including the columns ahead of the pivot.
+  DMat r(3, 3);
+  r(0, 0) = 2.0;
+  r(0, 1) = 0.5;
+  r(1, 1) = 4.0;
+  r(0, 2) = 1.0;
+  r(2, 2) = 0.0;
+  Rng rng(10);
+  const DMat b0 = random_matrix(5, 3, rng);
+  DMat b = b0;
+  EXPECT_THROW(trsm_right_upper(5, 3, r.data(), r.ld(), b.data(), b.ld()),
                Error);
+  for (int j = 0; j < 3; ++j) {
+    for (int i = 0; i < 5; ++i) EXPECT_EQ(b(i, j), b0(i, j));
+  }
 }
 
 TEST(Lapack, CholeskyFactorizesSpd) {

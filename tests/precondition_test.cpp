@@ -2,7 +2,10 @@
 // and the ILU(k) handle subsystem (src/precond/).
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include "core/precondition.hpp"
 #include "precond/ilu.hpp"
 #include "precond/precond.hpp"
+#include "precond/trisolve.hpp"
 #include "sim/fault.hpp"
 #include "sim/machine.hpp"
 #include "sparse/coo.hpp"
@@ -326,6 +330,97 @@ TEST(IluFactor, LevelScheduleRespectsDependencies) {
          k < f.u_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
       const int j = f.u_idx[static_cast<std::size_t>(k)];
       EXPECT_LT(lu[static_cast<std::size_t>(j)], lu[static_cast<std::size_t>(i)]);
+    }
+  }
+}
+
+/// Host reference for level_trisolve: the same level-ordered sweeps, with
+/// the rows of level `hit` of the forward sweep (hit < levels of L) or of
+/// level hit - levels(L) of the backward sweep NaN-poisoned right after
+/// that level runs.
+std::vector<double> reference_trisolve(const DeviceFactor& f,
+                                       const std::vector<double>& in,
+                                       int hit) {
+  std::vector<double> out(in.size());
+  const auto at = [](const std::vector<double>& v, std::int64_t k) {
+    return v[static_cast<std::size_t>(k)];
+  };
+  const auto rows_of = [](const LevelSchedule& s, int l) {
+    return std::vector<int>(
+        s.order.begin() + s.level_ptr[static_cast<std::size_t>(l)],
+        s.order.begin() + s.level_ptr[static_cast<std::size_t>(l) + 1]);
+  };
+  const auto poison = [&out](const std::vector<int>& rows) {
+    for (const int i : rows) {
+      out[static_cast<std::size_t>(i)] =
+          std::numeric_limits<double>::quiet_NaN();
+    }
+  };
+  const int lf = f.l_sched.levels();
+  for (int l = 0; l < lf; ++l) {
+    for (const int i : rows_of(f.l_sched, l)) {
+      double acc = in[static_cast<std::size_t>(i)];
+      for (auto p = f.l_ptr[static_cast<std::size_t>(i)];
+           p < f.l_ptr[static_cast<std::size_t>(i) + 1]; ++p) {
+        acc -= at(f.l_val, p) * out[static_cast<std::size_t>(
+                                    f.l_idx[static_cast<std::size_t>(p)])];
+      }
+      out[static_cast<std::size_t>(i)] = acc;
+    }
+    if (hit == l) poison(rows_of(f.l_sched, l));
+  }
+  for (int l = 0; l < f.u_sched.levels(); ++l) {
+    for (const int i : rows_of(f.u_sched, l)) {
+      double acc = out[static_cast<std::size_t>(i)];
+      for (auto p = f.u_ptr[static_cast<std::size_t>(i)];
+           p < f.u_ptr[static_cast<std::size_t>(i) + 1]; ++p) {
+        acc -= at(f.u_val, p) * out[static_cast<std::size_t>(
+                                    f.u_idx[static_cast<std::size_t>(p)])];
+      }
+      out[static_cast<std::size_t>(i)] = acc * at(f.inv_diag, i);
+    }
+    if (hit == lf + l) poison(rows_of(f.u_sched, l));
+  }
+  return out;
+}
+
+TEST(IluFactor, TrisolveKernelNanPoisonsTheHitLevel) {
+  // Each sweep runs its levels in one host closure but charges one kernel
+  // per level. A kernel fault injected at any level's op must poison that
+  // level's rows before the later levels read them: the NaN rows of `out`
+  // are exactly those of the host reference poisoned at that level, and
+  // every other row is bitwise equal.
+  const sparse::CsrMatrix a = sparse::make_laplace2d(9, 7, 0.3, 0.1);
+  const int n = a.n_rows;
+  DeviceFactor f;
+  precond::ilu_symbolic(a, 0, n, 1, 0, f);
+  precond::ilu_numeric(a, f);
+  const int levels = f.l_sched.levels() + f.u_sched.levels();
+  ASSERT_GT(f.l_sched.levels(), 2);
+  ASSERT_GT(f.u_sched.levels(), 2);
+  Rng rng(21);
+  std::vector<double> in(static_cast<std::size_t>(n));
+  for (auto& e : in) e = rng.normal();
+  for (const int workers : {0, 2}) {
+    // Level l's kernel is device 0's op l + 1 on a fresh machine.
+    for (int l = 0; l < levels; ++l) {
+      const std::vector<double> ref = reference_trisolve(f, in, l);
+      sim::Machine m(1);
+      m.set_host_workers(workers);
+      sim::parse_fault_spec("nan:d0@op=" + std::to_string(l + 1),
+                            m.fault_injector());
+      std::vector<double> out(static_cast<std::size_t>(n), 0.0);
+      precond::level_trisolve(m, 0, f, in.data(), out.data());
+      m.sync();
+      EXPECT_EQ(m.fault_injector().stats().kernel_nans, 1);
+      for (int i = 0; i < n; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        ASSERT_EQ(std::isnan(out[u]), std::isnan(ref[u]))
+            << "level " << l << " row " << i << " workers " << workers;
+        if (!std::isnan(ref[u])) {
+          EXPECT_EQ(out[u], ref[u]);
+        }
+      }
     }
   }
 }

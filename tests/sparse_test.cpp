@@ -210,35 +210,61 @@ TEST(Sell, GroupsAreWholeSlicesAndPrefixesMatchCsr) {
 }
 
 TEST(Sell, EpilogueShiftsAndStoresLikeTheUnfusedSequence) {
-  const CsrMatrix a = random_irregular(200, 23);
-  const SellMatrix s = to_sell(a);
+  // Groups of 45, 32 and 123 rows: the first and last end in short slices
+  // (13 and 27 rows), and the middle group is one slice of empty rows.
+  // random_irregular leaves about a quarter of the other rows empty too.
+  const CsrMatrix full = random_irregular(200, 23);
+  CooBuilder cb(200, 200);
+  for (int i = 0; i < 200; ++i) {
+    if (45 <= i && i < 77) continue;
+    for (auto k = full.row_ptr[static_cast<std::size_t>(i)];
+         k < full.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+      cb.add(i, full.col_idx[static_cast<std::size_t>(k)],
+             full.vals[static_cast<std::size_t>(k)]);
+    }
+  }
+  const CsrMatrix a = cb.build();
+  const SellMatrix s = to_sell(a, {45, 77, 200});
+  ASSERT_EQ(s.slice_row,
+            (std::vector<int>{0, 32, 45, 77, 109, 141, 173, 200}));
+  ASSERT_EQ(s.slice_slot[3], s.slice_slot[2]);  // the empty slice
   Rng rng(11);
   std::vector<double> x(200), x2(200), ref(200), y(200), store(200);
   for (auto& e : x) e = rng.normal();
   for (auto& e : x2) e = rng.normal();
-  // Real shift: y = A x - theta x.
-  SellEpilogue ep;
-  ep.theta = 0.75;
-  ep.store = store.data();
-  spmv(s, 200, x.data(), y.data(), ep);
-  spmv(a, x.data(), ref.data());
-  for (int i = 0; i < 200; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    ref[u] -= 0.75 * x[u];
-    EXPECT_EQ(y[u], ref[u]);
-    EXPECT_EQ(store[u], ref[u]);
-  }
-  // Complex pair second member: y = A x - theta x + beta2 x2.
-  ep.x2 = x2.data();
-  ep.beta2 = 0.64;
-  ep.store = nullptr;
-  spmv(s, 200, x.data(), y.data(), ep);
-  spmv(a, x.data(), ref.data());
-  for (int i = 0; i < 200; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    ref[u] -= 0.75 * x[u];
-    ref[u] += 0.64 * x2[u];
-    EXPECT_EQ(y[u], ref[u]);
+  for (const int rows : {45, 200}) {
+    // Rows past the prefix must be left alone.
+    std::fill(y.begin(), y.end(), -7.0);
+    std::fill(store.begin(), store.end(), -7.0);
+    // Real shift: y = A x - theta x.
+    SellEpilogue ep;
+    ep.theta = 0.75;
+    ep.store = store.data();
+    spmv(s, rows, x.data(), y.data(), ep);
+    spmv(a, x.data(), ref.data());
+    for (int i = 0; i < 200; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      if (i >= rows) {
+        EXPECT_EQ(y[u], -7.0);
+        EXPECT_EQ(store[u], -7.0);
+        continue;
+      }
+      ref[u] -= 0.75 * x[u];
+      EXPECT_EQ(y[u], ref[u]) << "rows=" << rows << " row " << i;
+      EXPECT_EQ(store[u], ref[u]);
+    }
+    // Complex pair second member: y = A x - theta x + beta2 x2.
+    ep.x2 = x2.data();
+    ep.beta2 = 0.64;
+    ep.store = nullptr;
+    spmv(s, rows, x.data(), y.data(), ep);
+    spmv(a, x.data(), ref.data());
+    for (int i = 0; i < rows; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      ref[u] -= 0.75 * x[u];
+      ref[u] += 0.64 * x2[u];
+      EXPECT_EQ(y[u], ref[u]) << "rows=" << rows << " row " << i;
+    }
   }
 }
 
