@@ -1,7 +1,6 @@
-// Real wall-clock benchmark for the host execution engine (DESIGN.md §9)
-// and the cache-blocked tall-skinny BLAS paths.
-//
-// Two experiments, written to BENCH_wallclock.json:
+// Real wall-clock benchmark for the host execution engine (DESIGN.md §9),
+// plus the simulated-seconds sections that track the collectives, recovery,
+// codec and preconditioner layers. Written to BENCH_wallclock.json:
 //
 //   1. solver_sweep — Fig. 14-style CA-GMRES and GMRES(CGS) workloads,
 //      timed with std::chrono while sweeping the host worker count
@@ -12,41 +11,29 @@
 //      single-core container (see "nproc" in the output) no speedup can
 //      materialize — the engine's scaling needs real cores.
 //
-//   2. event_overlap — the same CA-GMRES workload solved once under
-//      SyncMode::kBarrier (the seed's coarse host_wait_all structure) and
-//      once under kEvent (per-buffer record/wait, DESIGN.md §10), solver
-//      results byte-compared. The charged pipeline seconds must drop in
-//      event mode: the halo exchange's consumers stop blocking on devices
-//      they never read.
-//
-//   3. scale_sweep — the CA-GMRES workload fault-free at ng = 3, 8, 16, 64
+//   2. scale_sweep — the CA-GMRES workload fault-free at ng = 3, 8, 16, 64
 //      devices, each on the flat single-node machine and (where the count
 //      tiles) on a multi-node topology (2x4, 4x4, 8x8), recording the
 //      charged seconds and the bytes that crossed the inter-node network
 //      vs the intra-node links — the §VII projection of how the two-level
 //      fabric prices the same algorithm.
 //
-//   4. hier_reduce — the deep shapes solved with the hierarchical two-stage
-//      collectives on vs forced off, across both sync modes and worker
-//      counts: all eight solutions bitwise identical, hier charging less,
-//      and a single reduction placing at most one inter-node message per
-//      node where the flat fold pays one per off-node device.
+//   3. hier_reduce — the deep shapes solved with the hierarchical two-stage
+//      collectives on vs forced off, across {0, 2} worker counts: all four
+//      solutions bitwise identical, hier charging less, and a single
+//      reduction placing at most one inter-node message per node where the
+//      flat fold pays one per off-node device.
 //
-//   5. node_kill_recovery — at each multi-node shape, one whole-node kill
+//   4. node_kill_recovery — at each multi-node shape, one whole-node kill
 //      mid-solve, recovered once with hierarchical partner checkpointing
 //      (SolverOptions::partner_checkpoint, the default) and once with the
 //      flat host-checkpoint path. partner_cheaper records whether the
 //      buddy scheme won in charged seconds; it must at ng >= 16.
 //
-//   6. gram_microbench — the blocked V^T·W Gram kernel and the V·R panel
-//      update in blas3.cpp against naive triple loops, single-threaded,
-//      on a panel shape (long m, narrow k) where the long dimension
-//      doesn't fit in cache. This isolates the cache-blocking win from
-//      any threading.
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
+//   5. compress — the transfer codec layer on a deep shape (DESIGN.md §14).
+//
+//   6. precond — GMRES(30) unpreconditioned vs right-preconditioned ILU(0)
+//      and ILU(1) on the cant and g3_circuit analogs (DESIGN.md §15).
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -54,11 +41,10 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "blas/blas3.hpp"
-#include "blas/matrix.hpp"
 #include "common/options.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
@@ -86,41 +72,6 @@ struct SweepRow {
   bool identical_to_serial = false;
 };
 
-// Naive references: the pre-blocking triple loops, for the microbench only.
-void gram_naive(int m, int k, const double* v, int ldv, const double* w,
-                int ldw, double* g, int ldg) {
-  for (int j = 0; j < k; ++j) {
-    for (int i = 0; i < k; ++i) {
-      double acc = 0.0;
-      for (int p = 0; p < m; ++p) acc += v[i * ldv + p] * w[j * ldw + p];
-      g[j * ldg + i] = acc;
-    }
-  }
-}
-
-void panel_update_naive(int m, int k, const double* w, int ldw,
-                        const double* g, int ldg, double* v, int ldv) {
-  for (int j = 0; j < k; ++j) {
-    for (int i = 0; i < m; ++i) {
-      double acc = 0.0;
-      for (int p = 0; p < k; ++p) acc += w[p * ldw + i] * g[j * ldg + p];
-      v[j * ldv + i] -= acc;
-    }
-  }
-}
-
-template <typename Fn>
-double best_of(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = now_seconds();
-    fn();
-    const double t1 = now_seconds();
-    if (t1 - t0 < best) best = t1 - t0;
-  }
-  return best;
-}
-
 std::string json_bool(bool b) { return b ? "true" : "false"; }
 
 }  // namespace
@@ -128,17 +79,13 @@ std::string json_bool(bool b) { return b ? "true" : "false"; }
 int main(int argc, char** argv) {
   Options opts(
       "Wall-clock bench: host-engine worker sweep on Fig. 14 workloads + "
-      "blocked-vs-naive tall-skinny BLAS microbench. Writes --out JSON.");
+      "collectives, recovery, codec and precond sections. Writes --out "
+      "JSON.");
   bench::add_matrix_options(opts, "g3_circuit", "0.5");
   opts.add("ng", "3", "simulated device count");
   opts.add("s", "15", "CA-GMRES step size");
   opts.add("tol", "1e-8", "relative convergence tolerance");
   opts.add("max-restarts", "40", "restart cap");
-  // Default sized past a big L3: at 15 columns, 1M rows is a 120 MB panel,
-  // so the naive loops pay DRAM for every re-read the blocking avoids.
-  opts.add("gram-rows", "1000000", "microbench panel rows");
-  opts.add("gram-cols", "15", "microbench panel columns (s)");
-  opts.add("reps", "3", "microbench repetitions (best-of)");
   opts.add("smoke", "false", "tiny sizes: CI smoke run, numbers meaningless");
   opts.add("out", "BENCH_wallclock.json", "output path");
   if (!opts.parse(argc, argv)) return 0;
@@ -146,9 +93,6 @@ int main(int argc, char** argv) {
   const bool smoke = opts.get_bool("smoke");
   const double scale = smoke ? 0.15 : opts.get_double("scale");
   const int ng = opts.get_int("ng");
-  const int gram_rows = smoke ? 20000 : opts.get_int("gram-rows");
-  const int gram_cols = opts.get_int("gram-cols");
-  const int reps = opts.get_int("reps");
 
   const std::string matrix_name = opts.get("matrix");
   const sparse::CsrMatrix a = sparse::make_paper_matrix(matrix_name, scale);
@@ -199,46 +143,6 @@ int main(int argc, char** argv) {
                   row.iterations, row.converged ? "" : " (nc)",
                   row.identical_to_serial ? "" : "  RESULTS DIVERGED");
     }
-  }
-
-  // --- event overlap: barrier vs per-buffer event sync -------------------
-  // Same problem, same worker count (0 — charged times are worker-
-  // invariant); only the sync structure differs. The arithmetic is
-  // identical in both modes, so x must match bitwise.
-  double sim_barrier = 0.0, sim_event = 0.0;
-  double mpk_barrier = 0.0, mpk_event = 0.0;
-  double borth_barrier = 0.0, borth_event = 0.0;
-  double tsqr_barrier = 0.0, tsqr_event = 0.0;
-  bool event_identical = false;
-  bool event_converged = true;
-  {
-    std::vector<double> x_barrier, x_event;
-    for (const bool ev : {false, true}) {
-      sim::Machine machine(ng);
-      machine.set_sync_mode(ev ? sim::SyncMode::kEvent
-                               : sim::SyncMode::kBarrier);
-      core::SolverOptions so = sopts;
-      so.s = smoke ? 5 : opts.get_int("s");
-      const core::SolveResult res = core::ca_gmres(machine, p, so);
-      (ev ? sim_event : sim_barrier) = res.stats.time_total;
-      (ev ? mpk_event : mpk_barrier) = res.stats.time_mpk;
-      (ev ? borth_event : borth_barrier) = res.stats.time_borth;
-      (ev ? tsqr_event : tsqr_barrier) = res.stats.time_tsqr;
-      (ev ? x_event : x_barrier) = res.x;
-      event_converged = event_converged && res.stats.converged;
-    }
-    event_identical = x_event == x_barrier;
-    std::printf(
-        "\n  event_overlap: barrier sim=%.6fs  event sim=%.6fs  "
-        "(%.4fx)%s\n",
-        sim_barrier, sim_event,
-        sim_event > 0.0 ? sim_barrier / sim_event : 0.0,
-        event_identical ? "" : "  RESULTS DIVERGED");
-    std::printf(
-        "    ortho phases: mpk %.6fs -> %.6fs  borth %.6fs -> %.6fs  "
-        "tsqr %.6fs -> %.6fs\n",
-        mpk_barrier, mpk_event, borth_barrier, borth_event, tsqr_barrier,
-        tsqr_event);
   }
 
   // --- scale sweep: ng x topology, fault-free ----------------------------
@@ -355,9 +259,9 @@ int main(int argc, char** argv) {
   // --- hier_reduce: two-stage node-grouped reductions vs flat fold -------
   // At each deep shape, the same node-first problem solved with the
   // hierarchical collectives on (Machine default for nodes > 1) and forced
-  // off, across {barrier, event} x {0, 2 workers}: all eight solutions must
-  // match bitwise (the fold tree is knob/mode/worker invariant; only the
-  // charges move), hier must charge less, and a single reduction must put
+  // off, across {0, 2 workers}: all four solutions must match bitwise (the
+  // fold tree is knob/worker invariant; only the charges move), hier must
+  // charge less, and a single reduction must put
   // at most `nodes` messages on the inter-node network where the flat fold
   // pays one per off-node device.
   struct HierRow {
@@ -385,28 +289,23 @@ int main(int argc, char** argv) {
       std::vector<double> x0;
       bool first = true;
       for (const bool hier : {false, true}) {
-        for (const bool ev : {false, true}) {
-          for (const int w : {0, 2}) {
-            sim::Machine mh(hng);
-            mh.set_topology(hnodes, hng / hnodes);
-            mh.set_hier_reduce(hier);
-            mh.set_sync_mode(ev ? sim::SyncMode::kEvent
-                                : sim::SyncMode::kBarrier);
-            mh.set_host_workers(w);
-            core::SolverOptions so = sopts;
-            so.s = smoke ? 5 : opts.get_int("s");
-            const core::SolveResult rs = core::ca_gmres(mh, ph, so);
-            if (first) {
-              x0 = rs.x;
-              first = false;
-            }
-            hr.identical = hr.identical && rs.x == x0;
-            hr.converged = hr.converged && rs.stats.converged;
-            // Headline charge comparison at the default sync mode (event),
-            // workers are charge-invariant.
-            if (ev && w == 0) {
-              (hier ? hr.hier_sim : hr.flat_sim) = rs.stats.time_total;
-            }
+        for (const int w : {0, 2}) {
+          sim::Machine mh(hng);
+          mh.set_topology(hnodes, hng / hnodes);
+          mh.set_hier_reduce(hier);
+          mh.set_host_workers(w);
+          core::SolverOptions so = sopts;
+          so.s = smoke ? 5 : opts.get_int("s");
+          const core::SolveResult rs = core::ca_gmres(mh, ph, so);
+          if (first) {
+            x0 = rs.x;
+            first = false;
+          }
+          hr.identical = hr.identical && rs.x == x0;
+          hr.converged = hr.converged && rs.stats.converged;
+          // Headline charge comparison; workers are charge-invariant.
+          if (w == 0) {
+            (hier ? hr.hier_sim : hr.flat_sim) = rs.stats.time_total;
           }
         }
       }
@@ -499,17 +398,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- precond: none vs block-Jacobi vs ILU(0) vs ILU(1) -----------------
-  // The ROADMAP's preconditioning item made concrete: the cant-like and
-  // circuit-like analogs under GMRES(30) with a 1200-iteration budget
-  // (m=30 x 40 restarts), unpreconditioned vs left block-Jacobi vs the
+  // --- precond: none vs ILU(0) vs ILU(1) ----------------------------------
+  // The cant-like and circuit-like analogs under GMRES(30) with a
+  // 1200-iteration budget (m=30 x 40 restarts), unpreconditioned vs the
   // right-preconditioned ILU(k) handle subsystem (src/precond/). The
   // circuit shape exhausts its budget raw; ILU must converge it in fewer
   // iterations AND fewer total charged seconds (setup + solve) — that is
   // the perf gate bench.sh --compare enforces.
   struct PrecondRow {
     std::string matrix;
-    std::string precond;  // none | bj | ilu0 | ilu1
+    std::string precond;  // none | ilu0 | ilu1
     int iterations = 0;
     int restarts = 0;
     double setup_sim_seconds = 0.0;
@@ -534,35 +432,24 @@ int main(int argc, char** argv) {
       po.m = 30;
       po.max_restarts = 40;  // 1200-iteration budget
       po.tol = opts.get_double("tol");
-      for (const char* which : {"none", "bj", "ilu0", "ilu1"}) {
+      const std::pair<const char*, const char*> variants[] = {
+          {"none", "none"}, {"ilu0", "ilu:k=0"}, {"ilu1", "ilu:k=1"}};
+      for (const auto& [which, spec] : variants) {
         sim::Machine mp(ng);
         PrecondRow row;
         row.matrix = pname;
         row.precond = which;
-        if (std::string(which) == "bj") {
-          const core::PreconditionedResult r =
-              core::preconditioned_gmres(mp, pm, po, 16);
-          row.iterations = r.solve.stats.iterations;
-          row.restarts = r.solve.stats.restarts;
-          row.solve_sim_seconds = r.solve.stats.time_total;
-          row.converged = r.solve.stats.converged;
-        } else {
-          const char* spec = std::string(which) == "none" ? "none"
-                             : std::string(which) == "ilu0"
-                                 ? "ilu:k=0"
-                                 : "ilu:k=1";
-          const core::IluPreconditionedResult r = core::preconditioned_gmres(
-              mp, pm, po, precond::parse_precond_spec(spec));
-          row.iterations = r.solve.stats.iterations;
-          row.restarts = r.solve.stats.restarts;
-          row.setup_sim_seconds = r.precond.setup_seconds;
-          row.solve_sim_seconds =
-              r.solve.stats.time_total - r.precond.setup_seconds;
-          row.fill_nnz = r.precond.fill_nnz;
-          row.max_levels =
-              std::max(r.precond.max_levels_l, r.precond.max_levels_u);
-          row.converged = r.solve.stats.converged;
-        }
+        const core::IluPreconditionedResult r = core::preconditioned_gmres(
+            mp, pm, po, precond::parse_precond_spec(spec));
+        row.iterations = r.solve.stats.iterations;
+        row.restarts = r.solve.stats.restarts;
+        row.setup_sim_seconds = r.precond.setup_seconds;
+        row.solve_sim_seconds =
+            r.solve.stats.time_total - r.precond.setup_seconds;
+        row.fill_nnz = r.precond.fill_nnz;
+        row.max_levels =
+            std::max(r.precond.max_levels_l, r.precond.max_levels_u);
+        row.converged = r.solve.stats.converged;
         row.total_sim_seconds = row.setup_sim_seconds + row.solve_sim_seconds;
         precond_rows.push_back(row);
         std::printf(
@@ -574,49 +461,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-
-  // --- microbench: blocked vs naive, single thread -----------------------
-#ifdef _OPENMP
-  omp_set_num_threads(1);
-#endif
-  Rng rng(9);
-  blas::DMat v(gram_rows, gram_cols), w(gram_rows, gram_cols);
-  for (int j = 0; j < gram_cols; ++j) {
-    for (int i = 0; i < gram_rows; ++i) {
-      v(i, j) = rng.normal();
-      w(i, j) = rng.normal();
-    }
-  }
-  blas::DMat g(gram_cols, gram_cols), g_ref(gram_cols, gram_cols);
-  const double t_gram_naive = best_of(reps, [&] {
-    gram_naive(gram_rows, gram_cols, v.data(), v.ld(), w.data(), w.ld(),
-               g_ref.data(), g_ref.ld());
-  });
-  const double t_gram_blocked = best_of(reps, [&] {
-    blas::gemm(blas::Trans::T, blas::Trans::N, gram_cols, gram_cols,
-               gram_rows, 1.0, v.data(), v.ld(), w.data(), w.ld(), 0.0,
-               g.data(), g.ld());
-  });
-
-  blas::DMat upd1 = v, upd2 = v;
-  const double t_panel_naive = best_of(reps, [&] {
-    panel_update_naive(gram_rows, gram_cols, w.data(), w.ld(), g.data(),
-                       g.ld(), upd1.data(), upd1.ld());
-  });
-  const double t_panel_blocked = best_of(reps, [&] {
-    blas::gemm(blas::Trans::N, blas::Trans::N, gram_rows, gram_cols,
-               gram_cols, -1.0, w.data(), w.ld(), g.data(), g.ld(), 1.0,
-               upd2.data(), upd2.ld());
-  });
-
-  const double gram_speedup = t_gram_naive / t_gram_blocked;
-  const double panel_speedup = t_panel_naive / t_panel_blocked;
-  std::printf("\n  gram  %d x %d: naive %.4fs, blocked %.4fs  (%.2fx)\n",
-              gram_rows, gram_cols, t_gram_naive, t_gram_blocked,
-              gram_speedup);
-  std::printf("  panel %d x %d: naive %.4fs, blocked %.4fs  (%.2fx)\n",
-              gram_rows, gram_cols, t_panel_naive, t_panel_blocked,
-              panel_speedup);
 
   // --- JSON --------------------------------------------------------------
   std::ofstream out(opts.get("out"));
@@ -644,22 +488,6 @@ int main(int argc, char** argv) {
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  out << "  \"event_overlap\": {\n";
-  out << "    \"solver\": \"ca_gmres\", \"ng\": " << ng
-      << ", \"workers\": 0,\n";
-  out << "    \"barrier_sim_seconds\": " << sim_barrier
-      << ", \"event_sim_seconds\": " << sim_event << ",\n";
-  out << "    \"barrier_mpk_seconds\": " << mpk_barrier
-      << ", \"event_mpk_seconds\": " << mpk_event << ",\n";
-  out << "    \"barrier_borth_seconds\": " << borth_barrier
-      << ", \"event_borth_seconds\": " << borth_event << ",\n";
-  out << "    \"barrier_tsqr_seconds\": " << tsqr_barrier
-      << ", \"event_tsqr_seconds\": " << tsqr_event << ",\n";
-  out << "    \"speedup\": "
-      << (sim_event > 0.0 ? sim_barrier / sim_event : 0.0) << ",\n";
-  out << "    \"converged\": " << json_bool(event_converged)
-      << ", \"identical_results\": " << json_bool(event_identical) << "\n";
-  out << "  },\n";
   out << "  \"scale_sweep\": [\n";
   for (std::size_t i = 0; i < scale_rows.size(); ++i) {
     const auto& r = scale_rows[i];
@@ -734,17 +562,7 @@ int main(int argc, char** argv) {
         << json_bool(r.converged) << "}"
         << (i + 1 < precond_rows.size() ? "," : "") << "\n";
   }
-  out << "  ],\n";
-  out << "  \"gram_microbench\": {\n";
-  out << "    \"rows\": " << gram_rows << ", \"cols\": " << gram_cols
-      << ",\n";
-  out << "    \"gram_naive_seconds\": " << t_gram_naive
-      << ", \"gram_blocked_seconds\": " << t_gram_blocked
-      << ", \"gram_speedup\": " << gram_speedup << ",\n";
-  out << "    \"panel_naive_seconds\": " << t_panel_naive
-      << ", \"panel_blocked_seconds\": " << t_panel_blocked
-      << ", \"panel_speedup\": " << panel_speedup << "\n";
-  out << "  }\n";
+  out << "  ]\n";
   out << "}\n";
   std::printf("\n  wrote %s\n", opts.get("out").c_str());
   return 0;

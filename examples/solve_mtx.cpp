@@ -2,23 +2,28 @@
 // CA-GMRES on the simulated multi-GPU machine, report everything.
 //
 //   $ ./solve_mtx --matrix A.mtx [--rhs b.mtx] --solver ca --s 10 --m 60
+//   $ ./solve_mtx --matrix A.mtx --solver gmres --precond ilu:k=1
 //
 // This is the downstream-user entry point: drop in the paper's real
 // SuiteSparse matrices (cant.mtx, G3_circuit.mtx, ...) and reproduce its
 // experiments on the authentic data.
+//
+// Exit codes: 0 converged, 2 not converged, 3 bad input (unreadable
+// matrix, unknown option, malformed spec: one line on stderr).
 #include <cstdio>
 
 #include "blas/blas1.hpp"
 #include "common/options.hpp"
-#include "core/cagmres.hpp"
 #include "core/cpu_gmres.hpp"
 #include "core/precondition.hpp"
-#include "core/gmres.hpp"
+#include "precond/precond.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/io.hpp"
 #include "sparse/stats.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace cagmres;
   Options opts("solve_mtx — solve a MatrixMarket system with (CA-)GMRES");
   opts.add("matrix", "", "path to the .mtx file, or a generator name "
@@ -35,8 +40,10 @@ int main(int argc, char** argv) {
   opts.add("reorth", "0", "always reorthogonalize blocks (the paper's 2x)");
   opts.add("adaptive", "0", "adapt s on TSQR breakdowns");
   opts.add("balance", "1", "row/column equilibration before solving");
-  opts.add("jacobi_block", "0",
-           "block-Jacobi preconditioning with this block size (0 = off)");
+  opts.add("precond", "",
+           "right-preconditioner spec, e.g. ilu:k=1,underlap=1 (DESIGN.md "
+           "§15); empty reads CAGMRES_PRECOND, \"none\" disables; not "
+           "valid with --solver cpu");
   opts.add("tol", "1e-8", "relative residual tolerance");
   opts.add("max_restarts", "1000", "restart cap");
   opts.add("solution", "", "optional path to write x (MatrixMarket array)");
@@ -45,6 +52,15 @@ int main(int argc, char** argv) {
   if (opts.get("matrix").empty()) {
     std::printf("%s", opts.help().c_str());
     return 1;
+  }
+  // --precond overrides the CAGMRES_PRECOND env, as in trace_solve.
+  const precond::PrecondSpec pspec =
+      opts.get("precond").empty()
+          ? precond::env_precond_spec()
+          : precond::parse_precond_spec(opts.get("precond"));
+  const std::string solver = opts.get("solver");
+  if (solver == "cpu" && pspec.armed()) {
+    throw Error("--precond is not supported with --solver cpu");
   }
   const std::string mname = opts.get("matrix");
   sparse::CsrMatrix a;
@@ -67,16 +83,9 @@ int main(int argc, char** argv) {
   }
 
   const int ng = opts.get_int("ng");
-  core::Problem p = core::make_problem(
+  const core::Problem p = core::make_problem(
       a, b, ng, graph::parse_ordering(opts.get("ordering")),
       opts.get_bool("balance"), 7);
-  if (opts.get_int("jacobi_block") > 0) {
-    const core::PreconditionStats ps =
-        core::apply_block_jacobi(p, opts.get_int("jacobi_block"));
-    std::printf("block-Jacobi: %d blocks, nnz %lld -> %lld\n", ps.blocks,
-                static_cast<long long>(ps.nnz_before),
-                static_cast<long long>(ps.nnz_after));
-  }
 
   core::SolverOptions so;
   so.m = opts.get_int("m");
@@ -89,17 +98,17 @@ int main(int argc, char** argv) {
   so.adaptive_s = opts.get_bool("adaptive");
 
   sim::Machine machine(ng);
-  core::SolveResult res;
-  const std::string solver = opts.get("solver");
+  core::IluPreconditionedResult pres;
   if (solver == "ca") {
-    res = core::ca_gmres(machine, p, so);
+    pres = core::preconditioned_ca_gmres(machine, p, so, pspec);
   } else if (solver == "gmres") {
-    res = core::gmres(machine, p, so);
+    pres = core::preconditioned_gmres(machine, p, so, pspec);
   } else if (solver == "cpu") {
-    res = core::cpu_gmres(machine, p, so);
+    pres.solve = core::cpu_gmres(machine, p, so);
   } else {
     throw Error("unknown solver: " + solver + " (expected ca|gmres|cpu)");
   }
+  const core::SolveResult& res = pres.solve;
 
   const auto& st = res.stats;
   std::printf("%s: %s in %d restarts / %d iterations\n", solver.c_str(),
@@ -115,6 +124,15 @@ int main(int argc, char** argv) {
               st.time_total * 1e3, st.time_spmv * 1e3, st.time_mpk * 1e3,
               st.time_orth * 1e3, st.time_borth * 1e3, st.time_tsqr * 1e3,
               st.time_other * 1e3);
+  if (pspec.armed()) {
+    const auto& ps = pres.precond;
+    std::printf("precond %s: fill %lld nnz, %d+%d levels (L+U), "
+                "%lld applies, %.2f ms setup\n",
+                pspec.to_string().c_str(),
+                static_cast<long long>(ps.fill_nnz), ps.max_levels_l,
+                ps.max_levels_u, static_cast<long long>(ps.applies),
+                ps.setup_seconds * 1e3);
+  }
   if (st.cholqr_breakdowns > 0) {
     std::printf("CholQR breakdowns: %d (reorthogonalized %d blocks)\n",
                 st.cholqr_breakdowns, st.reorth_blocks);
@@ -124,4 +142,10 @@ int main(int argc, char** argv) {
     std::printf("solution written to %s\n", opts.get("solution").c_str());
   }
   return st.converged ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cagmres::run_cli("solve_mtx", run, argc, argv);
 }

@@ -9,11 +9,12 @@
 // burst per s basis vectors, and the CholQR TSQR appears as one gemm +
 // one trsm per block instead of GMRES's per-iteration reduction ladders.
 //
-// Run with CAGMRES_SYNC_MODE=event to see the per-buffer event markers
-// (DESIGN.md §10): "event:record" on the producing device row,
-// "event:stream_wait" on the waiting device row, and "event:host_wait" on
-// the host row — the halo expand then rides behind stream waits instead of
-// the barrier gather, which is visible as earlier device starts.
+// Buffer hand-offs use per-buffer events (DESIGN.md §10), which the trace
+// marks: "event:record" on the producing device row, "event:stream_wait" on
+// the waiting device row, and "event:host_wait" on the host row — the halo
+// expand rides behind stream waits on exactly the senders it reads.
+//
+// A bad option or spec prints one line on stderr and exits 3.
 #include <cstdio>
 #include <fstream>
 
@@ -23,7 +24,9 @@
 #include "precond/precond.hpp"
 #include "sparse/generators.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace cagmres;
   Options opts("trace_solve — dump a Chrome trace of a CA-GMRES solve");
   opts.add("out", "solve_trace.json", "output JSON path");
@@ -213,4 +216,10 @@ int main(int argc, char** argv) {
                     : 0.0);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cagmres::run_cli("trace_solve", run, argc, argv);
 }

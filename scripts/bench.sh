@@ -1,15 +1,12 @@
 #!/usr/bin/env bash
 # Wall-clock bench runner: builds the default preset and runs the host-engine
-# worker sweep + event-overlap comparison + blocked-BLAS microbench, writing
-# BENCH_wallclock.json at the repo root. Extra arguments pass straight
-# through to the bench binary (e.g. --matrix=cant --scale=1.0 --ng=2); see
-# `wallclock --help`.
+# worker sweep plus the collectives, recovery, codec and preconditioner
+# sections, writing BENCH_wallclock.json at the repo root. Extra arguments
+# pass straight through to the bench binary (e.g. --matrix=cant --scale=1.0
+# --ng=2); see `wallclock --help`.
 #
-#   --compare   after the run, gate on the event_overlap section: fail if
-#               event-sync charged time exceeds the barrier-sync baseline at
-#               all (event mode is the fast path and must never lose), or if
-#               the two modes' results diverged. Also gates the scale_sweep
-#               and node_kill_recovery sections: every sweep point must have
+#   --compare   after the run, gate on the scale_sweep and
+#               node_kill_recovery sections: every sweep point must have
 #               run, and partner checkpointing must beat the flat
 #               host-checkpoint restart at every ng >= 16 shape present.
 #               The hier_reduce section gates too: the hierarchical
@@ -68,7 +65,7 @@ if [[ "$compare" == 1 ]]; then
   # Both compare stages always run; the script fails if either did.
   status=0
   echo
-  echo "== compare: event-sync vs barrier-sync charged time =="
+  echo "== compare: section gates =="
   python3 - BENCH_wallclock.json <<'EOF' || status=1
 import json, sys
 with open(sys.argv[1]) as f:
@@ -78,25 +75,6 @@ def warn_missing(name):
     # Older baselines predate some sections; a missing one is a warning,
     # not a gate failure, so comparisons against old JSONs keep working.
     print(f"compare WARNING: JSON has no {name} section (old baseline?)")
-
-ov = doc.get("event_overlap")
-if not ov:
-    warn_missing("event_overlap")
-    ov = None
-if ov and not ov.get("identical_results"):
-    sys.exit(f"compare: event and barrier modes produced different x: {ov}")
-if ov:
-    barrier = ov["barrier_sim_seconds"]
-    event = ov["event_sim_seconds"]
-    if event > barrier:
-        sys.exit(
-            "compare: event-sync charged time lost to barrier-sync: "
-            f"{event:.6f}s vs {barrier:.6f}s"
-        )
-    print(
-        f"compare OK: barrier {barrier:.6f}s, event {event:.6f}s "
-        f"(speedup {barrier / event:.4f}x, results identical)"
-    )
 
 sweep = doc.get("scale_sweep")
 if not sweep:
@@ -270,11 +248,9 @@ def rows(doc):
             for field, val in row.items():
                 if isinstance(val, bool) or not isinstance(val, (int, float)):
                     continue
-                if "sim_seconds" in field or "time_lost" in field or (
-                        section == "event_overlap" and field.endswith("_seconds")):
+                if "sim_seconds" in field or "time_lost" in field:
                     kind = "sim"
-                elif "wall_seconds" in field or (
-                        section == "gram_microbench" and field.endswith("_seconds")):
+                elif "wall_seconds" in field:
                     kind = "wall"
                 else:
                     continue

@@ -108,4 +108,16 @@ std::string Options::help() const {
   return os.str();
 }
 
+int run_cli(const char* prog, int (*body)(int, char**), int argc,
+            char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    std::fprintf(stderr, "%s: %s\n", prog,
+                 what.substr(0, what.find('\n')).c_str());
+    return 3;
+  }
+}
+
 }  // namespace cagmres

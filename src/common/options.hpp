@@ -46,4 +46,11 @@ class Options {
   std::vector<std::string> order_;
 };
 
+/// Runs a command-line program's body and turns a cagmres::Error escaping
+/// it into one stderr line, "<prog>: <first line of what()>", and exit
+/// code 3. Only the first line is printed because an unknown-option error
+/// carries the whole help text.
+int run_cli(const char* prog, int (*body)(int, char**), int argc,
+            char** argv);
+
 }  // namespace cagmres

@@ -1,139 +1,10 @@
 #include "core/precondition.hpp"
 
-#include <cmath>
-#include <utility>
-
-#include "blas/blas1.hpp"
-#include "blas/blas3.hpp"
-#include "blas/lapack.hpp"
-#include "common/error.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
 #include "core/pipelined.hpp"
-#include "sparse/coo.hpp"
 
 namespace cagmres::core {
-
-namespace {
-
-/// Dense inverse via QR: B^{-1} = R^{-1} Q^T. Returns false when B is
-/// numerically singular (tiny R diagonal).
-bool invert_dense(const blas::DMat& b, blas::DMat& inv) {
-  const int n = b.rows();
-  blas::DMat q, r;
-  blas::qr_explicit(b, q, r);
-  double dmax = 0.0;
-  for (int j = 0; j < n; ++j) dmax = std::max(dmax, std::fabs(r(j, j)));
-  for (int j = 0; j < n; ++j) {
-    if (std::fabs(r(j, j)) < 1e-13 * (dmax + 1e-300)) return false;
-  }
-  blas::trtri_upper(r);
-  inv = blas::DMat(n, n);
-  // inv = R^{-1} * Q^T.
-  blas::gemm(blas::Trans::N, blas::Trans::T, n, n, n, 1.0, r.data(), r.ld(),
-             q.data(), q.ld(), 0.0, inv.data(), inv.ld());
-  return true;
-}
-
-}  // namespace
-
-PreconditionStats apply_block_jacobi(Problem& p, int block_size) {
-  CAGMRES_REQUIRE(block_size >= 1, "block size must be positive");
-  const int n = p.n();
-  PreconditionStats stats;
-  stats.nnz_before = p.a.nnz();
-
-  sparse::CooBuilder out(n, n);
-  std::vector<double> new_b(static_cast<std::size_t>(n), 0.0);
-  blas::DMat block, inv;
-
-  // Tile every device row range with blocks of at most block_size rows so
-  // no block straddles a distribution boundary.
-  for (std::size_t dev = 0; dev + 1 < p.offsets.size(); ++dev) {
-    const int lo = p.offsets[dev];
-    const int hi = p.offsets[dev + 1];
-    for (int b0 = lo; b0 < hi; b0 += block_size) {
-      const int b1 = std::min(b0 + block_size, hi);
-      const int w = b1 - b0;
-      ++stats.blocks;
-
-      // Extract the dense diagonal block.
-      block = blas::DMat(w, w);
-      for (int i = 0; i < w; ++i) {
-        const int row = b0 + i;
-        const auto rlo = p.a.row_ptr[static_cast<std::size_t>(row)];
-        const auto rhi = p.a.row_ptr[static_cast<std::size_t>(row) + 1];
-        for (auto k = rlo; k < rhi; ++k) {
-          const int c = p.a.col_idx[static_cast<std::size_t>(k)];
-          if (b0 <= c && c < b1) {
-            block(i, c - b0) = p.a.vals[static_cast<std::size_t>(k)];
-          }
-        }
-      }
-      const bool ok = invert_dense(block, inv);
-      if (!ok) ++stats.identity_fallbacks;
-
-      // Emit the preconditioned rows: row i of the block becomes
-      // sum_r inv(i, r) * A(b0 + r, :), and b likewise.
-      for (int i = 0; i < w; ++i) {
-        const int row = b0 + i;
-        if (!ok) {
-          // Singular block: keep the original row (identity fallback).
-          const auto rlo = p.a.row_ptr[static_cast<std::size_t>(row)];
-          const auto rhi = p.a.row_ptr[static_cast<std::size_t>(row) + 1];
-          for (auto k = rlo; k < rhi; ++k) {
-            out.add(row, p.a.col_idx[static_cast<std::size_t>(k)],
-                    p.a.vals[static_cast<std::size_t>(k)]);
-          }
-          new_b[static_cast<std::size_t>(row)] =
-              p.b[static_cast<std::size_t>(row)];
-          continue;
-        }
-        for (int r = 0; r < w; ++r) {
-          const double c = inv(i, r);
-          if (c == 0.0) continue;
-          const int src = b0 + r;
-          const auto rlo = p.a.row_ptr[static_cast<std::size_t>(src)];
-          const auto rhi = p.a.row_ptr[static_cast<std::size_t>(src) + 1];
-          for (auto k = rlo; k < rhi; ++k) {
-            out.add(row, p.a.col_idx[static_cast<std::size_t>(k)],
-                    c * p.a.vals[static_cast<std::size_t>(k)]);
-          }
-          new_b[static_cast<std::size_t>(row)] +=
-              c * p.b[static_cast<std::size_t>(src)];
-        }
-      }
-    }
-  }
-
-  p.a = out.build();
-  p.b = std::move(new_b);
-  p.b_norm = blas::nrm2(n, p.b.data());
-  stats.nnz_after = p.a.nnz();
-  return stats;
-}
-
-PreconditionedResult preconditioned_gmres(sim::Machine& machine,
-                                          const Problem& problem,
-                                          const SolverOptions& opts,
-                                          int block_size) {
-  Problem transformed = problem;
-  PreconditionedResult out;
-  out.precond = apply_block_jacobi(transformed, block_size);
-  out.solve = gmres(machine, transformed, opts);
-  return out;
-}
-
-PreconditionedResult preconditioned_ca_gmres(sim::Machine& machine,
-                                             const Problem& problem,
-                                             const SolverOptions& opts,
-                                             int block_size) {
-  Problem transformed = problem;
-  PreconditionedResult out;
-  out.precond = apply_block_jacobi(transformed, block_size);
-  out.solve = ca_gmres(machine, transformed, opts);
-  return out;
-}
 
 namespace {
 

@@ -1,63 +1,15 @@
 // Preconditioned solver drivers.
 //
-// Two families. (1) The original left block-Jacobi one-shot transform:
-// with M the block diagonal of A (dense blocks aligned inside device row
-// ranges), M^{-1}A has the same block-row distribution and a dependency
-// pattern that is the within-block union of A's — so the MPK/TSQR
-// machinery applies to the transformed system completely unchanged; the
-// transform is performed once, up front, like the paper's balancing.
-// (2) The spec-based drivers over precond::PrecondHandle (src/precond/):
-// right-preconditioned device-local ILU(k) with cached symbolic factors
-// and level-scheduled triangular solves, charged inside the solve and
-// composing with recovery/repartitioning. See DESIGN.md §15.
+// Spec-based drivers over precond::PrecondHandle (src/precond/):
+// right-preconditioned device-local ILU(k) with cached symbolic factors and
+// level-scheduled triangular solves, charged inside the solve and composing
+// with recovery/repartitioning. See DESIGN.md §15.
 #pragma once
 
 #include "core/solver_common.hpp"
 #include "precond/precond.hpp"
 
 namespace cagmres::core {
-
-/// Outcome of apply_block_jacobi (diagnostics).
-struct PreconditionStats {
-  int blocks = 0;             ///< dense diagonal blocks inverted
-  std::int64_t nnz_before = 0;
-  std::int64_t nnz_after = 0; ///< fill from mixing rows within each block
-  /// Numerically singular diagonal blocks left untransformed (the
-  /// documented identity fallback), counted so callers can see how much of
-  /// the system is actually preconditioned.
-  int identity_fallbacks = 0;
-};
-
-/// Transforms the prepared problem in place to M^{-1} A x = M^{-1} b with
-/// block-Jacobi M (dense diagonal blocks of at most `block_size` rows,
-/// never straddling a device boundary). Singular blocks fall back to
-/// identity (left unpreconditioned). Solver tolerances then apply to the
-/// preconditioned residual, as usual for left preconditioning; the
-/// recovered solution x is unchanged in meaning.
-PreconditionStats apply_block_jacobi(Problem& p, int block_size);
-
-/// Result of a preconditioned solve: the solver outcome on the transformed
-/// system plus the transform's own diagnostics.
-struct PreconditionedResult {
-  SolveResult solve;
-  PreconditionStats precond;
-};
-
-/// Block-Jacobi preconditioned drivers: copy the prepared problem, apply
-/// the transform, and delegate to the standard solver. The numerical
-/// health monitor (core/health.hpp) rides along through `opts.health` —
-/// the delegated driver arms it against the preconditioned residuals, so
-/// watchdogs and the escalation ladder work unchanged; with `opts.health`
-/// defaulted the behaviour is byte-identical to transform-then-solve by
-/// hand.
-PreconditionedResult preconditioned_gmres(sim::Machine& machine,
-                                          const Problem& problem,
-                                          const SolverOptions& opts,
-                                          int block_size);
-PreconditionedResult preconditioned_ca_gmres(sim::Machine& machine,
-                                             const Problem& problem,
-                                             const SolverOptions& opts,
-                                             int block_size);
 
 /// Result of a spec-based (handle) preconditioned solve: the solver
 /// outcome plus the handle's cumulative telemetry (factor sizes, level
@@ -72,7 +24,9 @@ struct IluPreconditionedResult {
 /// (which factors lazily inside its fault-handling scope and rebuilds
 /// affected device factors after a repartition). A kNone spec delegates
 /// unpreconditioned — bit-for-bit the plain solver. The returned stats
-/// are the handle's final state after the solve.
+/// are the handle's final state after the solve. The caller's problem is
+/// never modified, and the numerical health monitor (core/health.hpp)
+/// rides along through `opts.health` exactly as in the plain solvers.
 IluPreconditionedResult preconditioned_gmres(sim::Machine& machine,
                                              const Problem& problem,
                                              const SolverOptions& opts,

@@ -85,106 +85,18 @@ void MpkExecutor::build_node_split(const sim::Machine& m) {
 
 void MpkExecutor::exchange(sim::Machine& m, const sim::DistMultiVec& v,
                            int c0, int slot) {
-  if (m.event_sync()) {
-    exchange_events(m, v, c0, slot);
-    return;
-  }
+  // The dependency structure is per-buffer: consumer d waits only on the
+  // pack messages of the senders it actually reads (ext_owners_[d]), never
+  // on the rest of the machine. With >= 3 devices in a 1D partition that
+  // makes the exchange a neighbor-wise pipeline rather than a global
+  // barrier.
   const MpkPlan& plan = *plan_;
   const int ng = plan.n_devices();
   const bool hier = m.topology().n_nodes > 1;
   if (hier) build_node_split(m);
 
-  // Gather: each device packs the owned entries other devices need and
-  // ships one message to the CPU (Fig. 4 "Setup", first loop). On a
-  // multi-node topology the pack splits per sender: rows read on the
-  // sender's own node go to node-host memory over the peer link, only the
-  // rows an off-node consumer reads travel through the coordinating host
-  // (and pay the network hop for remote senders).
-  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kHalo);
-  double gathered = 0.0;
-  for (int d = 0; d < ng; ++d) {
-    const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
-    if (dp.send_local_rows.empty()) continue;
-    sim::dev_pack(m, d, dp.send_local_rows, v.col(d, c0),
-                  pack_buf_[static_cast<std::size_t>(d)].data());
-    if (hier) {
-      const double lb = send_local_bytes_[static_cast<std::size_t>(d)];
-      const double cb = send_cross_bytes_[static_cast<std::size_t>(d)];
-      m.charge_codec(d, cd, (lb + cb) / 8.0);
-      if (lb > 0.0) m.d2h_node(d, cd.wire_bytes(lb / 8.0), lb);
-      if (cb > 0.0) m.d2h(d, cd.wire_bytes(cb / 8.0), cb);
-    } else {
-      const double rows = static_cast<double>(dp.send_local_rows.size());
-      m.charge_codec(d, cd, rows);
-      m.d2h(d, cd.wire_bytes(rows), 8.0 * rows);
-    }
-    gathered += static_cast<double>(dp.send_local_rows.size());
-  }
-  m.host_wait_all();
-  if (gathered > 0.0) {
-    // CPU expands the per-device messages into the full vector w.
-    m.charge_host(sim::Kernel::kCopy, 0.0, 16.0 * gathered);
-  }
-
-  // Scatter: each device receives its external elements and assembles its
-  // local working vector z (Fig. 4 "Setup", third loop).
-  for (int d = 0; d < ng; ++d) {
-    const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
-    std::vector<double>& zd =
-        z_[static_cast<std::size_t>(d)][static_cast<std::size_t>(slot)];
-    const int next = static_cast<int>(dp.ext_global.size());
-    if (next > 0) {
-      if (hier) {
-        const double local = ext_local_bytes_[static_cast<std::size_t>(d)];
-        if (local > 0.0) m.h2d_node(d, cd.wire_bytes(local / 8.0), local);
-        if (8.0 * next > local) {
-          m.h2d(d, cd.wire_bytes(next - local / 8.0), 8.0 * next - local);
-        }
-      } else {
-        m.h2d(d, cd.wire_bytes(next), 8.0 * next);
-      }
-      m.charge_codec(d, cd, next);
-    }
-    sim::dev_copy(m, d, dp.owned, v.col(d, c0), zd.data());
-    if (next > 0) {
-      // Expand the received buffer into z's external slots. Values are read
-      // straight from the owners' blocks (all host memory); the transfer
-      // cost was charged above. In this barrier path the host_wait_all of
-      // the gather loop drained every owner's stream, so the loop can run
-      // inline on the host while the enqueued dev_copy above fills
-      // zd[0, owned) — it writes only zd[owned, owned+next). The event path
-      // (exchange_events) has no such global drain and must run the expand
-      // as a consumer-stream closure behind stream_wait_event instead.
-      for (int e = 0; e < next; ++e) {
-        zd[static_cast<std::size_t>(dp.owned + e)] =
-            v.col(dp.ext_owner[static_cast<std::size_t>(e)],
-                  c0)[dp.ext_owner_row[static_cast<std::size_t>(e)]];
-      }
-      // The coded wire image is modeled on the consumer's assembled external
-      // slice (identical in both sync paths and on either side of the
-      // hier/flat split, so the halo numerics stay mode-invariant).
-      if (cd.active()) cd.roundtrip(zd.data() + dp.owned, next);
-      m.charge_device(d, sim::Kernel::kPack, 0.0, 20.0 * next);
-      if (m.consume_kernel_fault(d)) poison(zd.data() + dp.owned, next);
-    }
-  }
-}
-
-void MpkExecutor::exchange_events(sim::Machine& m, const sim::DistMultiVec& v,
-                                  int c0, int slot) {
-  // Same messages, charges, and arithmetic as the barrier path, but the
-  // dependency structure is per-buffer: consumer d waits only on the pack
-  // messages of the senders it actually reads (ext_owners_[d]), never on
-  // the rest of the machine. With >= 3 devices in a 1D partition that turns
-  // the exchange from a global barrier into a neighbor-wise pipeline — the
-  // measured charged-time win in BENCH_wallclock.json's event_overlap.
-  const MpkPlan& plan = *plan_;
-  const int ng = plan.n_devices();
-  const bool hier = m.topology().n_nodes > 1;
-  if (hier) build_node_split(m);
-
-  // Gather, recording one event per sender message. On a multi-node
-  // topology each sender ships the split pair from the barrier path —
+  // Gather (Fig. 4 "Setup", first loop), recording one event per sender
+  // message. On a multi-node topology each sender ships a split pair —
   // same-node rows over the peer link, off-node rows through the
   // coordinating host — with an event after each, so a same-node consumer
   // chains off the cheap intra-node message and never waits behind the
@@ -232,11 +144,10 @@ void MpkExecutor::exchange_events(sim::Machine& m, const sim::DistMultiVec& v,
     sim::dev_copy(m, d, dp.owned, v.col(d, c0), zd.data());
   }
 
-  // Scatter: per consumer, wait for its senders, expand its slice of the
-  // received data on the host, and forward it. The host-side expand is
-  // charged per consumer (sum over consumers >= the barrier path's single
-  // `gathered` charge, since shared senders count once per reader — the
-  // accounting bias runs against the event path, so its win is honest).
+  // Scatter (Fig. 4 "Setup", third loop): per consumer, wait for its
+  // senders, expand its slice of the received data on the host, and
+  // forward it. The host-side expand is charged per consumer, so a sender
+  // shared by several readers counts once per reader.
   //
   // Consumers are served in device order. Measured against the
   // alternatives (earliest-ready, latest-ready, reversed), device order
@@ -285,8 +196,9 @@ void MpkExecutor::exchange_events(sim::Machine& m, const sim::DistMultiVec& v,
             vp->col(dpp->ext_owner[static_cast<std::size_t>(e)],
                     c0)[dpp->ext_owner_row[static_cast<std::size_t>(e)]];
       }
-      // Same wire-image model as the barrier path: the codec round trip
-      // runs on the consumer's assembled external slice.
+      // The coded wire image is modeled on the consumer's assembled
+      // external slice (identical on either side of the hier/flat split,
+      // so the halo numerics stay topology-invariant).
       if (cdv.active()) cdv.roundtrip(zp + dpp->owned, next);
       if (hit) poison(zp + dpp->owned, next);
     });

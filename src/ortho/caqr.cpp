@@ -42,16 +42,12 @@ TsqrResult tsqr_caqr(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1) {
     sim::dev_qr_explicit(m, d, block, local_q[static_cast<std::size_t>(d)],
                          local_r[static_cast<std::size_t>(d)]);
     m.d2h(d, 8.0 * k * k);  // ship the local R factor
-    if (m.event_sync()) shipped[static_cast<std::size_t>(d)] = m.record_event(d);
+    shipped[static_cast<std::size_t>(d)] = m.record_event(d);
   }
-  if (m.event_sync()) {
-    // The host only needs the ng local R messages, not idle devices: wait
-    // on each ship event rather than the whole machine.
-    for (int d = 0; d < ng; ++d) {
-      m.host_wait_event(shipped[static_cast<std::size_t>(d)]);
-    }
-  } else {
-    m.host_wait_all();
+  // The host only needs the ng local R messages, not idle devices: wait on
+  // each ship event rather than the whole machine.
+  for (int d = 0; d < ng; ++d) {
+    m.host_wait_event(shipped[static_cast<std::size_t>(d)]);
   }
 
   // Host combines the stacked R factors with one more QR.

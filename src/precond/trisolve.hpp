@@ -2,8 +2,8 @@
 // factors: one charged kernel per level per device, rows inside a level
 // running in parallel (the factor's LevelSchedule guarantees their
 // dependencies live in earlier levels). Device-local by construction, so
-// the per-device level chains overlap freely across devices in event mode
-// with no cross-device waits.
+// the per-device level chains overlap freely across devices with no
+// cross-device waits.
 #pragma once
 
 #include "precond/ilu.hpp"
@@ -17,7 +17,7 @@ namespace cagmres::precond {
 /// each sweep's levels run as one closure on device d's in-order stream,
 /// poisoning the rows of any level a kernel fault hit. Charges land on
 /// the calling thread in program order, keeping simulated time bitwise
-/// identical across sync modes and worker counts.
+/// identical across worker counts.
 void level_trisolve(sim::Machine& m, int d, const DeviceFactor& f,
                     const double* in, double* out);
 

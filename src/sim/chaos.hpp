@@ -6,8 +6,8 @@
 // schedules — mixed kill/NaN/corrupt/stall one-shot events (time- and
 // op-triggered, including cascading multi-device kills clustered tightly
 // enough to land inside a previous kill's checkpoint-restart) plus
-// continuous rates — and runs each over {barrier, event} x configured host
-// worker counts, alternating over a roster of solvers (CA-GMRES, GMRES and
+// continuous rates — and runs each over the configured host worker counts,
+// alternating over a roster of solvers (CA-GMRES, GMRES and
 // pipelined GMRES by default). Every run must end in one of the sanctioned
 // states:
 //   - converged, with a finite solution whose TRUE residual (checked
@@ -76,7 +76,7 @@ struct ChaosSchedule {
   static ChaosSchedule from_spec(const std::string& spec);
 };
 
-/// Result of one (schedule, solver, mode, workers) run.
+/// Result of one (schedule, solver, workers) run.
 struct ChaosRunResult {
   ChaosOutcome outcome = ChaosOutcome::kConverged;
   std::string error_code;    ///< to_string(code) when outcome==kCleanError
@@ -99,7 +99,6 @@ struct ChaosRunResult {
 struct ChaosViolation {
   int schedule_index = -1;
   ChaosSolver solver = ChaosSolver::kCaGmres;
-  SyncMode mode = SyncMode::kEvent;
   int workers = 0;
   std::string what;  ///< which invariant broke, and how
   std::string spec;  ///< the offending schedule as a --faults spec
@@ -130,7 +129,6 @@ struct ChaosConfig {
   /// Watchdog: deadline = deadline_factor x the slowest fault-free
   /// baseline, armed on every faulty run.
   double deadline_factor = 50.0;
-  std::vector<SyncMode> modes = {SyncMode::kBarrier, SyncMode::kEvent};
   std::vector<int> worker_counts = {0, 2};
   /// The unpreconditioned solvers the campaign alternates over, by
   /// schedule index (see parse_chaos_solvers).
@@ -200,7 +198,7 @@ class ChaosRunner {
   /// Deterministically generates schedule `index` of a campaign.
   ChaosSchedule generate(std::uint64_t campaign_seed, int index);
 
-  /// Runs one schedule over every configured (mode, workers) pair with the
+  /// Runs one schedule over every configured worker count with the
   /// index-selected solver, checking the full oracle (terminal state,
   /// replay bit-identity, zero-fault baseline match). Returns violations.
   std::vector<ChaosViolation> run_schedule(const ChaosSchedule& schedule,
@@ -216,7 +214,7 @@ class ChaosRunner {
   /// One run of one configuration (no replay/baseline cross-checks beyond
   /// the run's own oracle).
   ChaosRunResult run_one(const ChaosSchedule& schedule, ChaosSolver solver,
-                         SyncMode mode, int workers);
+                         int workers);
 
   /// True when run_schedule-style checks find any violation for `solver`.
   bool violates(const ChaosSchedule& schedule, ChaosSolver solver);

@@ -21,16 +21,6 @@ int default_host_workers(int n_devices) {
   return std::clamp(n, 0, n_devices);
 }
 
-/// Sync mode for new machines: per-buffer events are the default (they are
-/// bitwise identical to the barriers and never slower on the charged
-/// clock); CAGMRES_SYNC_MODE=barrier restores the seed's coarse
-/// host_wait_all structure as an escape hatch.
-SyncMode default_sync_mode() {
-  const char* s = std::getenv("CAGMRES_SYNC_MODE");
-  if (s != nullptr && std::string(s) == "barrier") return SyncMode::kBarrier;
-  return SyncMode::kEvent;
-}
-
 /// Topology for machines built by device count: CAGMRES_TOPOLOGY in the
 /// environment as "NxG" (N nodes of G devices) or a bare node count "N"
 /// (devices split evenly). A shape that does not tile the device count is
@@ -126,7 +116,6 @@ Machine::Machine(int n_devices, PerfModel model)
       dev_poison_(static_cast<std::size_t>(n_devices), 0),
       codecs_(default_codec_config()),
       hier_reduce_(default_hier_reduce()),
-      sync_mode_(default_sync_mode()),
       pool_(n_devices, default_host_workers(n_devices)) {
   dev_map_.resize(static_cast<std::size_t>(n_devices));
   std::iota(dev_map_.begin(), dev_map_.end(), 0);
@@ -143,7 +132,6 @@ Machine::Machine(Topology topology, PerfModel model)
       dev_poison_(static_cast<std::size_t>(topology.n_devices()), 0),
       codecs_(default_codec_config()),
       hier_reduce_(default_hier_reduce()),
-      sync_mode_(default_sync_mode()),
       pool_(topology.n_devices(),
             default_host_workers(topology.n_devices())) {
   CAGMRES_REQUIRE(topology.n_nodes >= 1 && topology.gpus_per_node >= 1,
@@ -357,7 +345,7 @@ void Machine::charge_transfer(int d, double bytes, double logical_bytes,
     // message reaches the wire once its PCIe stage (plus any injected
     // stall) completes, then waits for the link direction to free up.
     // Charging runs on the main thread in program order, so the queue is
-    // deterministic for any sync mode or worker count.
+    // deterministic for any worker count.
     const double net = model_.net_seconds(bytes);
     const double ready = clock_.device_time(p) + resend + stall;
     double& link = net_free_[to_device ? 1 : 0];

@@ -100,11 +100,10 @@ struct Event {
   std::int64_t ticket = 0;  ///< host-pool enqueue ticket (wall-clock half)
 };
 
-/// How the solvers synchronize producer/consumer buffer hand-offs.
-/// kBarrier reproduces the original coarse host_wait_all structure;
-/// kEvent replaces those barriers with per-buffer record/wait pairs so a
-/// consumer never blocks on streams it does not read (DESIGN.md §10).
-enum class SyncMode { kBarrier, kEvent };
+/// Kept only so existing callers of Machine::set_sync_mode still compile.
+/// Producer/consumer hand-offs always use per-buffer events (DESIGN.md
+/// §10); with a single enumerator the value selects nothing.
+enum class SyncMode { kEvent };
 
 /// Bounded retry with exponential backoff for checksum-failed transfers.
 /// The retransmission and every backoff interval are charged to the
@@ -229,13 +228,9 @@ class Machine {
   }
 
   // --- per-buffer events (the cudaEvent analogue, DESIGN.md §10) -------
-  /// Sync structure the solvers should build: coarse barriers (seed
-  /// behaviour) or per-buffer events. Defaults to kEvent; overridable at
-  /// construction with CAGMRES_SYNC_MODE=event|barrier.
-  SyncMode sync_mode() const { return sync_mode_; }
-  void set_sync_mode(SyncMode mode) { sync_mode_ = mode; }
-  /// Shorthand for the call sites that branch on the mode.
-  bool event_sync() const { return sync_mode_ == SyncMode::kEvent; }
+  /// No-op kept only so existing callers still compile: hand-offs always
+  /// use per-buffer events, and SyncMode has a single enumerator.
+  void set_sync_mode(SyncMode) {}
 
   /// Hierarchical collectives knob: when true (the default) AND the
   /// topology is multi-node, reductions fold intra-node on a node-leader
@@ -254,12 +249,12 @@ class Machine {
 
   /// Cumulative charged seconds posted to logical device d's timeline —
   /// kernels and transfers, excluding event waits. Unlike the device clock
-  /// (whose stalls depend on the sync mode), this is a pure function of the
-  /// charge sequence, so it is identical under kBarrier and kEvent and for
-  /// any worker count. The reduce-to-host fold order is keyed on it: the
+  /// (whose stalls depend on which events a consumer waits on), this is a
+  /// pure function of the charge sequence, so it is identical for any
+  /// worker count. The reduce-to-host fold order is keyed on it: the
   /// heaviest-loaded device is the likely straggler, and folding it last
   /// lets the other partials' summation hide under its transfer without the
-  /// order ever depending on mode-sensitive timestamps.
+  /// order ever depending on stall-sensitive timestamps.
   double device_busy(int d) const {
     return dev_busy_[static_cast<std::size_t>(physical_device(d))];
   }
@@ -435,7 +430,6 @@ class Machine {
   CodecConfig codecs_;  ///< per-traffic-class transfer codecs (§14)
   bool hier_reduce_;  ///< hierarchical-collectives knob (see hier_reduce())
   bool tracing_ = false;
-  SyncMode sync_mode_;
   std::string phase_ = "other";
   double phase_mark_ = 0.0;
   HostPool pool_;  ///< last member: destroyed (joined) first

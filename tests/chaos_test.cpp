@@ -27,13 +27,11 @@ using sim::ChaosSolver;
 using sim::FaultEvent;
 using sim::FaultKind;
 using sim::Machine;
-using sim::SyncMode;
 
-/// A slim config for the unit tests: one solver, one mode, one worker
-/// count, so each oracle check costs two solves (run + replay).
+/// A slim config for the unit tests: one solver, one worker count, so
+/// each oracle check costs two solves (run + replay).
 ChaosConfig slim_config() {
   ChaosConfig cfg;
-  cfg.modes = {SyncMode::kEvent};
   cfg.worker_counts = {0};
   cfg.solvers = {ChaosSolver::kCaGmres};
   return cfg;
@@ -200,7 +198,7 @@ TEST(ChaosOracle, FaultyScheduleRunsCleanAndReplaysIdentically) {
   const ChaosSchedule s =
       ChaosSchedule::from_spec("seed=5;kill:*@t=2ms;nan:p=0.001");
   EXPECT_TRUE(r.run_schedule(s, 1).empty());
-  const auto one = r.run_one(s, ChaosSolver::kCaGmres, SyncMode::kEvent, 0);
+  const auto one = r.run_one(s, ChaosSolver::kCaGmres, 0);
   EXPECT_TRUE(one.violation.empty()) << one.violation;
   EXPECT_EQ(one.outcome, ChaosOutcome::kConverged);
   EXPECT_GE(one.device_failures, 1);
@@ -353,13 +351,11 @@ TEST(ChaosPrecond, KillAndCorruptStormSurvivePreconditionedRuns) {
   const ChaosSchedule s =
       ChaosSchedule::from_spec("seed=5;kill:*@op=10;corrupt:p=0.01");
   EXPECT_TRUE(r.run_schedule(s, 1).empty());
-  const auto one =
-      r.run_one(s, ChaosSolver::kPrecondCaGmres, SyncMode::kEvent, 0);
+  const auto one = r.run_one(s, ChaosSolver::kPrecondCaGmres, 0);
   EXPECT_TRUE(one.violation.empty()) << one.violation;
   EXPECT_GE(one.device_failures, 1);
   // The preconditioned GMRES variant holds up under the same schedule.
-  const auto two =
-      r.run_one(s, ChaosSolver::kPrecondGmres, SyncMode::kEvent, 0);
+  const auto two = r.run_one(s, ChaosSolver::kPrecondGmres, 0);
   EXPECT_TRUE(two.violation.empty()) << two.violation;
 }
 
@@ -372,8 +368,8 @@ TEST(ChaosPrecond, EmptySpecKeepsRosterAndBytesUnchanged) {
   ChaosRunner none(cfg);
   const ChaosSchedule s =
       ChaosSchedule::from_spec("seed=5;kill:*@t=2ms;nan:p=0.001");
-  const auto a = plain.run_one(s, ChaosSolver::kCaGmres, SyncMode::kEvent, 0);
-  const auto b = none.run_one(s, ChaosSolver::kCaGmres, SyncMode::kEvent, 0);
+  const auto a = plain.run_one(s, ChaosSolver::kCaGmres, 0);
+  const auto b = none.run_one(s, ChaosSolver::kCaGmres, 0);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
 }
 

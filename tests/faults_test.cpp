@@ -390,7 +390,8 @@ TEST(DeviceDropout, TimeTriggeredKillOnWildcardDevice) {
   sim::parse_fault_spec("kill:*@t=2ms", machine.fault_injector());
   const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
   EXPECT_TRUE(res.stats.converged);
-  EXPECT_EQ(machine.n_devices(), 2);
+  EXPECT_EQ(machine.n_devices(), 2);  // the trigger fired on this timeline
+  EXPECT_EQ(res.stats.recovery.device_failures, 1);
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
 }
 
@@ -510,7 +511,9 @@ TEST(TransferStall, ChargesExtraLatency) {
   const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
   EXPECT_TRUE(res.stats.converged);
   EXPECT_GT(res.stats.recovery.transfer_stalls, 0);
-  // Stalls only add latency: identical numerics, strictly more time.
+  // Stalls only add latency: identical numerics, strictly more time. This
+  // also pins that the reduce fold order is keyed on fault-free charged
+  // time (an injected stall must not reorder the summation).
   EXPECT_EQ(r0.x, res.x);
   EXPECT_GT(res.stats.time_total, r0.stats.time_total);
 }
@@ -709,87 +712,9 @@ TEST(Determinism, DeviceKillReplaysIdentically) {
   EXPECT_EQ(r1.stats.recovery.repartitions, r2.stats.recovery.repartitions);
 }
 
-// --- sync-mode re-key: the stock scenarios on event-mode timelines ----
-//
-// The time- and op-triggered schedules key off charged timestamps and
-// per-device op counts, both of which shift when per-buffer events replace
-// the coarse barriers (transfers start earlier, the exchange posts in a
-// different per-device order). These run the stock scenarios under both
-// sync modes explicitly — not via CAGMRES_SYNC_MODE — so the fault suite
-// covers event mode on every CI run, which is what cleared the ROADMAP
-// blocker on making kEvent the default.
+// --- cascading kills and corruption storms ---------------------------
 
-class SyncModeFaults : public ::testing::TestWithParam<sim::SyncMode> {
- protected:
-  void apply_mode(Machine& m) { m.set_sync_mode(GetParam()); }
-};
-
-TEST_P(SyncModeFaults, TimeTriggeredKillRetiresAndConverges) {
-  const TestSystem s = make_system(3);
-  Machine machine(3);
-  apply_mode(machine);
-  sim::parse_fault_spec("kill:*@t=2ms", machine.fault_injector());
-  const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_EQ(machine.n_devices(), 2);  // the trigger fired on this timeline
-  EXPECT_EQ(res.stats.recovery.device_failures, 1);
-  EXPECT_LT(relative_residual(s, res.x), 1e-5);
-}
-
-TEST_P(SyncModeFaults, OpTriggeredKillRetiresAndConverges) {
-  const TestSystem s = make_system(3);
-  Machine machine(3);
-  apply_mode(machine);
-  sim::parse_fault_spec("kill:d2@op=600", machine.fault_injector());
-  const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_EQ(machine.n_devices(), 2);
-  EXPECT_EQ(res.stats.recovery.repartitions, 1);
-  EXPECT_LT(relative_residual(s, res.x), 1e-5);
-}
-
-TEST_P(SyncModeFaults, StallAddsLatencyOnly) {
-  // Stalls must stay latency-only in every mode: same bits, more time.
-  // In event mode this additionally pins that the reduce fold order is
-  // keyed on fault-free charged time (an injected stall must not reorder
-  // the summation, or the bits would move).
-  const TestSystem s = make_system(3);
-  Machine clean(3);
-  apply_mode(clean);
-  const core::SolveResult r0 = core::ca_gmres(clean, s.p, base_opts());
-  Machine machine(3);
-  apply_mode(machine);
-  sim::parse_fault_spec("seed=3;stall:p=0.05", machine.fault_injector());
-  const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_GT(res.stats.recovery.transfer_stalls, 0);
-  EXPECT_EQ(r0.x, res.x);
-  EXPECT_GT(res.stats.time_total, r0.stats.time_total);
-}
-
-TEST_P(SyncModeFaults, NanScrubConverges) {
-  const TestSystem s = make_system(3);
-  Machine machine(3);
-  apply_mode(machine);
-  sim::parse_fault_spec("seed=12;nan:p=0.002", machine.fault_injector());
-  const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_GT(res.stats.recovery.kernel_faults, 0);
-  EXPECT_LT(relative_residual(s, res.x), 1e-5);
-}
-
-TEST_P(SyncModeFaults, CorruptRetriesAndConverges) {
-  const TestSystem s = make_system(3);
-  Machine machine(3);
-  apply_mode(machine);
-  sim::parse_fault_spec("seed=10;corrupt:p=0.01", machine.fault_injector());
-  const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_GT(res.stats.recovery.transfer_retries, 0);
-  EXPECT_LT(relative_residual(s, res.x), 1e-5);
-}
-
-TEST_P(SyncModeFaults, KillDuringCheckpointRestartRepartition) {
+TEST(CascadingKills, KillDuringCheckpointRestartRepartition) {
   // Cascading kills with an identical trigger: the first fires on whichever
   // device reaches t=2ms, and the second lands on the very next qualifying
   // op from a survivor — i.e. inside the first kill's checkpoint-restart
@@ -797,7 +722,6 @@ TEST_P(SyncModeFaults, KillDuringCheckpointRestartRepartition) {
   // must compose: both retirements, both repartitions, still converged.
   const TestSystem s = make_system(4);
   Machine machine(4);
-  apply_mode(machine);
   sim::parse_fault_spec("kill:*@t=2ms;kill:*@t=2ms", machine.fault_injector());
   const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
   EXPECT_TRUE(res.stats.converged);
@@ -810,14 +734,13 @@ TEST_P(SyncModeFaults, KillDuringCheckpointRestartRepartition) {
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
 }
 
-TEST_P(SyncModeFaults, CorruptStormExhaustsRetriesIntoCleanError) {
+TEST(CorruptStorm, ExhaustsRetriesIntoCleanError) {
   // A transfer-corruption storm (70% per attempt, every retry re-rolls)
   // reliably drains the bounded retry loop. With the degradation floor
   // disabled the solver must surface ONE clean typed Error — never a hang,
   // a crash, or a silent wrong answer.
   const TestSystem s = make_system(3);
   Machine machine(3);
-  apply_mode(machine);
   sim::parse_fault_spec("seed=9;corrupt:p=0.7", machine.fault_injector());
   core::SolverOptions opts = base_opts();
   opts.degrade_to_cpu = false;
@@ -829,13 +752,12 @@ TEST_P(SyncModeFaults, CorruptStormExhaustsRetriesIntoCleanError) {
   }
 }
 
-TEST_P(SyncModeFaults, CorruptStormDegradesToCpuAndConverges) {
+TEST(CorruptStorm, DegradesToCpuAndConverges) {
   // Same storm with the floor enabled: the solver hands off to the host
   // fallback and still produces a correct solution, with the handoff
   // recorded in SolveStats::degraded.
   const TestSystem s = make_system(3);
   Machine machine(3);
-  apply_mode(machine);
   sim::parse_fault_spec("seed=9;corrupt:p=0.7", machine.fault_injector());
   const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
   EXPECT_TRUE(res.stats.converged);
@@ -843,13 +765,6 @@ TEST_P(SyncModeFaults, CorruptStormDegradesToCpuAndConverges) {
   EXPECT_FALSE(res.stats.degraded.reason.empty());
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BarrierAndEvent, SyncModeFaults,
-    ::testing::Values(sim::SyncMode::kBarrier, sim::SyncMode::kEvent),
-    [](const ::testing::TestParamInfo<sim::SyncMode>& info) {
-      return info.param == sim::SyncMode::kEvent ? "event" : "barrier";
-    });
 
 // --- option validation -------------------------------------------------
 

@@ -238,7 +238,7 @@ TEST(Equivalence, SolutionIndependentOfOrdering) {
 /// The fused sliced MPK against an unfused host reference: a CSR SpMV of
 /// the whole matrix, then the Newton shift as a separate pass. Each row
 /// accumulates in CSR order on both sides, so every basis column must match
-/// bitwise in every sync mode, worker count and topology.
+/// bitwise for every worker count and topology.
 TEST(Equivalence, FusedSlicedMpkMatchesUnfusedHostReferenceBitwise) {
   const sparse::CsrMatrix a = sparse::make_cant_like(0.1);
   const int n = a.n_rows;
@@ -279,39 +279,34 @@ TEST(Equivalence, FusedSlicedMpkMatchesUnfusedHostReferenceBitwise) {
       std::vector<int> offsets;
       for (int d = 0; d <= ng; ++d) offsets.push_back(n * d / ng);
       const mpk::MpkPlan plan = mpk::build_mpk_plan(a, offsets, s);
-      for (const sim::SyncMode mode :
-           {sim::SyncMode::kEvent, sim::SyncMode::kBarrier}) {
-        for (const int workers : {0, 2}) {
-          Machine m(topo);
-          m.set_codec(sim::TrafficClass::kHalo, sim::CodecSpec{});
-          m.set_sync_mode(mode);
-          m.set_host_workers(workers);
-          mpk::MpkExecutor exec(plan);
-          DistMultiVec v(plan.rows_per_device(), s + 1);
-          for (int d = 0; d < ng; ++d) {
-            std::copy_n(x0.begin() + offsets[static_cast<std::size_t>(d)],
-                        v.local_rows(d), v.col(d, 0));
-          }
-          const mpk::ShiftSeq seq =
-              sh.re.empty() ? mpk::ShiftSeq{}
-                            : mpk::ShiftSeq{sh.re.data(), sh.im.data()};
-          exec.apply(m, v, 0, s, seq);
-          m.sync();  // the host reads the basis below
-          for (int k = 1; k <= s; ++k) {
-            const std::vector<double> got = gather_col(v, k);
-            int mismatches = 0;
-            for (int i = 0; i < n; ++i) {
-              // == treats +0 and -0 as equal.
-              if (!(got[static_cast<std::size_t>(i)] ==
-                    ref[static_cast<std::size_t>(k)][static_cast<std::size_t>(i)])) {
-                ++mismatches;
-              }
+      for (const int workers : {0, 2}) {
+        Machine m(topo);
+        m.set_codec(sim::TrafficClass::kHalo, sim::CodecSpec{});
+        m.set_host_workers(workers);
+        mpk::MpkExecutor exec(plan);
+        DistMultiVec v(plan.rows_per_device(), s + 1);
+        for (int d = 0; d < ng; ++d) {
+          std::copy_n(x0.begin() + offsets[static_cast<std::size_t>(d)],
+                      v.local_rows(d), v.col(d, 0));
+        }
+        const mpk::ShiftSeq seq =
+            sh.re.empty() ? mpk::ShiftSeq{}
+                          : mpk::ShiftSeq{sh.re.data(), sh.im.data()};
+        exec.apply(m, v, 0, s, seq);
+        m.sync();  // the host reads the basis below
+        for (int k = 1; k <= s; ++k) {
+          const std::vector<double> got = gather_col(v, k);
+          int mismatches = 0;
+          for (int i = 0; i < n; ++i) {
+            // == treats +0 and -0 as equal.
+            if (!(got[static_cast<std::size_t>(i)] ==
+                  ref[static_cast<std::size_t>(k)][static_cast<std::size_t>(i)])) {
+              ++mismatches;
             }
-            EXPECT_EQ(mismatches, 0)
-                << sh.name << " " << topo.n_nodes << "x" << topo.gpus_per_node
-                << (mode == sim::SyncMode::kEvent ? " event" : " barrier")
-                << " workers=" << workers << " k=" << k;
           }
+          EXPECT_EQ(mismatches, 0)
+              << sh.name << " " << topo.n_nodes << "x" << topo.gpus_per_node
+              << " workers=" << workers << " k=" << k;
         }
       }
     }

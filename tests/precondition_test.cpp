@@ -1,5 +1,5 @@
-// Tests for the preconditioner layer: the block-Jacobi one-shot transform
-// and the ILU(k) handle subsystem (src/precond/).
+// Tests for the preconditioner layer: the spec-based drivers
+// (core/precondition.hpp) and the ILU(k) handle subsystem (src/precond/).
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -28,178 +28,42 @@
 namespace cagmres::core {
 namespace {
 
-TEST(BlockJacobi, PreconditionedSystemHasSameSolution) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(14, 13, 0.3, 0.2);
-  const int n = a.n_rows;
-  Rng rng(31);
-  std::vector<double> x_true(static_cast<std::size_t>(n));
-  for (auto& v : x_true) v = rng.normal();
-  std::vector<double> b(static_cast<std::size_t>(n));
-  sparse::spmv(a, x_true.data(), b.data());
-
-  Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
-  const PreconditionStats st = apply_block_jacobi(p, 6);
-  EXPECT_GT(st.blocks, n / 6 - 2);
-  EXPECT_GE(st.nnz_after, st.nnz_before);  // row mixing adds fill
-
-  // x_true still solves the transformed system M^{-1}A x = M^{-1}b.
-  std::vector<double> lhs(static_cast<std::size_t>(n));
-  // The prepared system is in permuted space (natural here => identity).
-  sparse::spmv(p.a, x_true.data(), lhs.data());
-  for (int i = 0; i < n; ++i) {
-    EXPECT_NEAR(lhs[static_cast<std::size_t>(i)],
-                p.b[static_cast<std::size_t>(i)], 1e-9);
-  }
-}
-
-TEST(BlockJacobi, DiagonalBlocksBecomeIdentity) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(10, 10, 0.1, 0.5);
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-  Problem p = make_problem(a, b, 1, graph::Ordering::kNatural, false, 1);
-  const int bs = 5;
-  apply_block_jacobi(p, bs);
-  for (int b0 = 0; b0 < p.n(); b0 += bs) {
-    const int b1 = std::min(b0 + bs, p.n());
-    for (int i = b0; i < b1; ++i) {
-      for (int j = b0; j < b1; ++j) {
-        EXPECT_NEAR(p.a.at(i, j), i == j ? 1.0 : 0.0, 1e-10);
-      }
-    }
-  }
-}
-
-TEST(BlockJacobi, ReducesIterationsOnIllScaledSystem) {
-  // A diagonally ill-scaled grid (no balancing): block-Jacobi must slash
-  // the unpreconditioned iteration count.
-  sparse::CsrMatrix a = sparse::make_laplace2d(24, 24, 0.0, 0.01);
-  Rng rng(32);
-  for (int i = 0; i < a.n_rows; ++i) {
-    const double s = std::pow(10.0, 3.0 * rng.uniform());
-    const auto lo = a.row_ptr[static_cast<std::size_t>(i)];
-    const auto hi = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (auto k = lo; k < hi; ++k) a.vals[static_cast<std::size_t>(k)] *= s;
-  }
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-
-  SolverOptions opts;
-  opts.m = 30;
-  opts.tol = 1e-6;
-  opts.max_restarts = 400;
-
-  Problem plain = make_problem(a, b, 1, graph::Ordering::kNatural, false, 1);
-  sim::Machine m1(1);
-  const auto r_plain = gmres(m1, plain, opts).stats;
-
-  Problem pre = make_problem(a, b, 1, graph::Ordering::kNatural, false, 1);
-  apply_block_jacobi(pre, 8);
-  sim::Machine m2(1);
-  const auto r_pre = gmres(m2, pre, opts).stats;
-
-  ASSERT_TRUE(r_pre.converged);
-  EXPECT_LT(r_pre.iterations, r_plain.iterations / 2 + 2);
-}
-
-TEST(BlockJacobi, WorksUnderCaGmresWithMpk) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(16, 16, 0.2, 0.1);
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-  Problem p = make_problem(a, b, 2, graph::Ordering::kKway, false, 3);
-  apply_block_jacobi(p, 4);
-  sim::Machine machine(2);
-  SolverOptions opts;
-  opts.m = 20;
-  opts.s = 5;
-  opts.tol = 1e-7;
-  const SolveResult res = ca_gmres(machine, p, opts);
-  EXPECT_TRUE(res.stats.converged);
-  // Verify in the ORIGINAL system: recover and check A x = b.
-  const double rel =
-      true_residual(a, b, res.x) / blas::nrm2(a.n_rows, b.data());
-  EXPECT_LT(rel, 1e-5);
-}
-
-TEST(BlockJacobi, SingularBlockFallsBackToIdentity) {
-  // A matrix with a zero 2x2 diagonal block: that block must stay as-is.
-  sparse::CooBuilder builder(4, 4);
-  builder.add(0, 0, 2.0);
-  builder.add(1, 1, 3.0);
-  builder.add(2, 3, 1.0);  // rows 2,3 have zero diagonal block? no:
-  builder.add(3, 2, 1.0);  // block {2,3} = [[0,1],[1,0]] — invertible.
-  // Make rows 2..3 exactly singular instead: both rows identical.
-  builder.add(2, 0, 1.0);
-  builder.add(3, 0, 1.0);
-  sparse::CsrMatrix a = builder.build();
-  // Overwrite to create a singular diagonal block {2,3}: zero it out.
-  for (int i = 2; i < 4; ++i) {
-    const auto lo = a.row_ptr[static_cast<std::size_t>(i)];
-    const auto hi = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (auto k = lo; k < hi; ++k) {
-      if (a.col_idx[static_cast<std::size_t>(k)] >= 2) {
-        a.vals[static_cast<std::size_t>(k)] = 0.0;
-      }
-    }
-  }
-  const std::vector<double> b = {1.0, 2.0, 3.0, 4.0};
-  Problem p = make_problem(a, b, 1, graph::Ordering::kNatural, false, 1);
-  const PreconditionStats st = apply_block_jacobi(p, 2);
-  EXPECT_EQ(st.blocks, 2);
-  EXPECT_EQ(st.identity_fallbacks, 1);  // exactly the singular block
-  // Block {0,1} was preconditioned (unit diagonal)...
-  EXPECT_NEAR(p.a.at(0, 0), 1.0, 1e-12);
-  EXPECT_NEAR(p.a.at(1, 1), 1.0, 1e-12);
-  // ...while the singular block kept its original rows and rhs.
-  EXPECT_DOUBLE_EQ(p.b[2], 3.0);
-  EXPECT_DOUBLE_EQ(p.b[3], 4.0);
-}
-
-TEST(Preconditioned, DriversMatchManualTransformThenSolve) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(16, 14, 0.2, 0.1);
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-  const Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
-  SolverOptions opts;
-  opts.m = 20;
-  opts.s = 5;
-  opts.tol = 1e-7;
-
-  // GMRES: wrapper vs transform-then-solve by hand — byte-identical.
-  Problem manual = p;
-  const PreconditionStats manual_st = apply_block_jacobi(manual, 6);
-  sim::Machine m1(2);
-  const SolveResult by_hand = gmres(m1, manual, opts);
-  sim::Machine m2(2);
-  const PreconditionedResult wrapped = preconditioned_gmres(m2, p, opts, 6);
-  EXPECT_EQ(wrapped.precond.blocks, manual_st.blocks);
-  EXPECT_EQ(wrapped.precond.nnz_after, manual_st.nnz_after);
-  EXPECT_EQ(wrapped.solve.x, by_hand.x);
-  EXPECT_EQ(wrapped.solve.stats.iterations, by_hand.stats.iterations);
-  EXPECT_EQ(wrapped.solve.stats.time_total, by_hand.stats.time_total);
-
-  // CA-GMRES: same contract, and a real solution of the original system.
-  sim::Machine m3(2);
-  const PreconditionedResult ca = preconditioned_ca_gmres(m3, p, opts, 6);
-  ASSERT_TRUE(ca.solve.stats.converged);
-  const double rel =
-      true_residual(a, b, ca.solve.x) / blas::nrm2(a.n_rows, b.data());
-  EXPECT_LT(rel, 1e-5);
-}
+/// The three spec-based drivers, for tests that cover each of them.
+using SpecDriver = IluPreconditionedResult (*)(sim::Machine&, const Problem&,
+                                               const SolverOptions&,
+                                               const precond::PrecondSpec&);
+constexpr SpecDriver kSpecDrivers[] = {preconditioned_gmres,
+                                       preconditioned_ca_gmres,
+                                       preconditioned_pipelined_gmres};
 
 TEST(Preconditioned, DriverLeavesCallerProblemUntouched) {
   const sparse::CsrMatrix a = sparse::make_laplace2d(10, 10, 0.1, 0.3);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const Problem p = make_problem(a, b, 1, graph::Ordering::kNatural, false, 1);
-  const std::vector<double> vals_before = p.a.vals;
-  sim::Machine m(1);
+  const sparse::CsrMatrix a_before = p.a;
+  const precond::PrecondSpec spec = precond::parse_precond_spec("ilu:k=0");
   SolverOptions opts;
   opts.m = 15;
+  opts.s = 5;
   opts.tol = 1e-8;
-  preconditioned_gmres(m, p, opts, 5);
-  EXPECT_EQ(p.a.vals, vals_before);
-  EXPECT_EQ(p.b, b);
+  for (const SpecDriver driver : kSpecDrivers) {
+    sim::Machine m(1);
+    const IluPreconditionedResult res = driver(m, p, opts, spec);
+    EXPECT_TRUE(res.solve.stats.converged);
+    EXPECT_GT(res.precond.applies, 0);
+    EXPECT_EQ(p.a.row_ptr, a_before.row_ptr);
+    EXPECT_EQ(p.a.col_idx, a_before.col_idx);
+    EXPECT_EQ(p.a.vals, a_before.vals);
+    EXPECT_EQ(p.b, b);
+    EXPECT_EQ(opts.precond, nullptr);
+  }
 }
 
 TEST(Preconditioned, HealthMonitorRidesThroughTheWrapper) {
   const sparse::CsrMatrix a = sparse::make_laplace2d(20, 20, 0.0, 0.005);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
+  const precond::PrecondSpec spec = precond::parse_precond_spec("ilu:k=0");
   SolverOptions opts;
   opts.m = 20;
   opts.s = 5;
@@ -207,24 +71,42 @@ TEST(Preconditioned, HealthMonitorRidesThroughTheWrapper) {
   opts.max_restarts = 200;
 
   // An iteration budget armed through opts.health must fire inside the
-  // delegated solver, for both wrapped drivers.
+  // delegated solver, for every driver.
   opts.health.max_iterations = 10;
-  sim::Machine mg(2);
-  EXPECT_THROW(preconditioned_gmres(mg, p, opts, 8), Error);
-  sim::Machine mc(2);
-  EXPECT_THROW(preconditioned_ca_gmres(mc, p, opts, 8), Error);
+  for (const SpecDriver driver : kSpecDrivers) {
+    sim::Machine m(2);
+    try {
+      driver(m, p, opts, spec);
+      ADD_FAILURE() << "iteration budget did not fire";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+    }
+  }
 
-  // Report-only stagnation monitoring surfaces events in the returned
-  // stats without changing the outcome.
-  opts.health = HealthOptions{};
-  opts.health.monitor_stagnation = true;
-  opts.health.stagnation_window = 2;
-  opts.health.stagnation_reduction = 1.0;
-  opts.health.escalate = false;
-  opts.tol = 1e-6;
-  sim::Machine m(2);
-  const PreconditionedResult res = preconditioned_ca_gmres(m, p, opts, 8);
-  EXPECT_TRUE(res.solve.stats.converged);
+  // Report-only stagnation monitoring surfaces in the returned stats
+  // without changing the outcome: the solution matches an unmonitored run
+  // bit for bit. Short restarts and an unreachable per-restart reduction
+  // make the monitor flag every restart after the first.
+  SolverOptions plain = opts;
+  plain.health = HealthOptions{};
+  plain.m = 5;
+  plain.tol = 1e-6;
+  SolverOptions watched = plain;
+  watched.health.monitor_stagnation = true;
+  watched.health.stagnation_window = 1;
+  watched.health.stagnation_reduction = 1e-30;
+  watched.health.escalate = false;
+  for (const SpecDriver driver : kSpecDrivers) {
+    sim::Machine m1(2);
+    const IluPreconditionedResult ref = driver(m1, p, plain, spec);
+    sim::Machine m2(2);
+    const IluPreconditionedResult res = driver(m2, p, watched, spec);
+    EXPECT_TRUE(res.solve.stats.converged);
+    EXPECT_FALSE(res.solve.stats.health_events.empty());
+    EXPECT_TRUE(ref.solve.stats.health_events.empty());
+    EXPECT_EQ(res.solve.x, ref.solve.x);
+    EXPECT_EQ(res.solve.stats.iterations, ref.solve.stats.iterations);
+  }
 }
 
 // === ILU(k) handle subsystem (src/precond/) ===========================
@@ -581,11 +463,11 @@ TEST(IluPrecond, AllThreeSolversConvergeOnOriginalSystem) {
   EXPECT_EQ(rc.solve.stats.time_mpk, 0.0);
 }
 
-TEST(IluPrecond, BitwiseIdenticalAcrossModesWorkersAndShapes) {
+TEST(IluPrecond, BitwiseIdenticalAcrossWorkersAndShapes) {
   // The trisolve charges on the calling thread in program order, so for a
   // fixed handle the preconditioned solve must be bit-for-bit reproducible
-  // across {barrier, event} x {0, 2 workers} x {flat, hier} collectives on
-  // a fixed 2x2 machine (the hier-reduce contract of DESIGN §13).
+  // across {0, 2 workers} x {flat, hier} collectives on a fixed 2x2
+  // machine (the hier-reduce contract of DESIGN §13).
   const sparse::CsrMatrix a = sparse::make_laplace2d(20, 20, 0.1, 0.02);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const int ng = 4;
@@ -601,27 +483,21 @@ TEST(IluPrecond, BitwiseIdenticalAcrossModesWorkersAndShapes) {
   std::vector<double> hist0;
   bool first = true;
   for (const bool hier : {false, true}) {
-    for (const sim::SyncMode mode :
-         {sim::SyncMode::kBarrier, sim::SyncMode::kEvent}) {
-      for (const int workers : {0, 2}) {
-        sim::Machine m(ng);
-        m.set_topology(2, 2);
-        m.set_hier_reduce(hier);
-        m.set_sync_mode(mode);
-        m.set_host_workers(workers);
-        const IluPreconditionedResult r =
-            preconditioned_ca_gmres(m, p, opts, spec);
-        ASSERT_TRUE(r.solve.stats.converged);
-        if (first) {
-          x0 = r.solve.x;
-          hist0 = r.solve.stats.residual_history;
-          first = false;
-        } else {
-          EXPECT_EQ(r.solve.x, x0)
-              << "hier=" << hier << " event="
-              << (mode == sim::SyncMode::kEvent) << " workers=" << workers;
-          EXPECT_EQ(r.solve.stats.residual_history, hist0);
-        }
+    for (const int workers : {0, 2}) {
+      sim::Machine m(ng);
+      m.set_topology(2, 2);
+      m.set_hier_reduce(hier);
+      m.set_host_workers(workers);
+      const IluPreconditionedResult r =
+          preconditioned_ca_gmres(m, p, opts, spec);
+      ASSERT_TRUE(r.solve.stats.converged);
+      if (first) {
+        x0 = r.solve.x;
+        hist0 = r.solve.stats.residual_history;
+        first = false;
+      } else {
+        EXPECT_EQ(r.solve.x, x0) << "hier=" << hier << " workers=" << workers;
+        EXPECT_EQ(r.solve.stats.residual_history, hist0);
       }
     }
   }
@@ -632,11 +508,11 @@ TEST(IluPrecond, BitwiseIdenticalUnderInjectedKernelNan) {
   // the MPK executor's scratch multivector. Reusing ONE scratch column for
   // every step of a block let step i+1's trisolve overwrite rows that a
   // peer's still-parked halo closure from step i was reading — a
-  // write-after-read hazard only visible in event mode with live workers,
-  // and only observable when the two orders produce different bytes (an
-  // injected NaN makes them wildly different). generate_by_spmv now stages
-  // one column per step; a NaN-poisoned run must be bit-identical across
-  // every sync mode and worker count, like any other run.
+  // write-after-read hazard only visible with live workers, and only
+  // observable when the two orders produce different bytes (an injected
+  // NaN makes them wildly different). generate_by_spmv now stages one
+  // column per step; a NaN-poisoned run must be bit-identical across
+  // worker counts, like any other run.
   const sparse::CsrMatrix a = sparse::make_laplace2d(24, 24, 0.1, 0.02);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const int ng = 4;
@@ -651,28 +527,22 @@ TEST(IluPrecond, BitwiseIdenticalUnderInjectedKernelNan) {
   std::vector<double> x0;
   std::vector<double> hist0;
   bool first = true;
-  for (const sim::SyncMode mode :
-       {sim::SyncMode::kBarrier, sim::SyncMode::kEvent}) {
-    for (const int workers : {0, 2}) {
-      sim::Machine m(ng);
-      m.set_topology(2, 2);
-      m.set_sync_mode(mode);
-      m.set_host_workers(workers);
-      sim::parse_fault_spec("nan:d3@op=335", m.fault_injector());
-      const IluPreconditionedResult r =
-          preconditioned_ca_gmres(m, p, opts, spec);
-      ASSERT_TRUE(r.solve.stats.converged);
-      EXPECT_GE(r.solve.stats.recovery.blocks_replayed, 1);
-      if (first) {
-        x0 = r.solve.x;
-        hist0 = r.solve.stats.residual_history;
-        first = false;
-      } else {
-        EXPECT_EQ(r.solve.x, x0)
-            << "event=" << (mode == sim::SyncMode::kEvent)
-            << " workers=" << workers;
-        EXPECT_EQ(r.solve.stats.residual_history, hist0);
-      }
+  for (const int workers : {0, 2}) {
+    sim::Machine m(ng);
+    m.set_topology(2, 2);
+    m.set_host_workers(workers);
+    sim::parse_fault_spec("nan:d3@op=335", m.fault_injector());
+    const IluPreconditionedResult r =
+        preconditioned_ca_gmres(m, p, opts, spec);
+    ASSERT_TRUE(r.solve.stats.converged);
+    EXPECT_GE(r.solve.stats.recovery.blocks_replayed, 1);
+    if (first) {
+      x0 = r.solve.x;
+      hist0 = r.solve.stats.residual_history;
+      first = false;
+    } else {
+      EXPECT_EQ(r.solve.x, x0) << "workers=" << workers;
+      EXPECT_EQ(r.solve.stats.residual_history, hist0);
     }
   }
 }

@@ -349,11 +349,11 @@ TEST(Topology, ReductionSlowerAcrossNodesThanWithin) {
   EXPECT_LT(reduction_time(Topology{1, 4}), reduction_time(Topology{2, 2}));
 }
 
-TEST(Topology, ZeroFaultSolveIsByteIdenticalAcrossModesAndWorkers) {
+TEST(Topology, ZeroFaultSolveIsByteIdenticalAcrossWorkers) {
   // set_topology only changes where bytes are charged (peer vs PCIe vs
   // network hops), never the arithmetic: with no faults armed, x, the
   // residual history, and the charged clock must match bitwise across
-  // {barrier, event} x {0, 2 workers} on a 2x2 multi-node machine.
+  // {0, 2 workers} on a 2x2 multi-node machine.
   const auto a = sparse::make_laplace2d(24, 24, 0.1, 0.02);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const int ng = 4;
@@ -367,38 +367,27 @@ TEST(Topology, ZeroFaultSolveIsByteIdenticalAcrossModesAndWorkers) {
 
   std::vector<core::SolveResult> results;
   std::vector<double> elapsed;
-  for (const SyncMode mode : {SyncMode::kBarrier, SyncMode::kEvent}) {
-    for (const int workers : {0, 2}) {
-      Machine m(ng);
-      m.set_topology(2, 2);
-      m.set_sync_mode(mode);
-      m.set_host_workers(workers);
-      results.push_back(core::ca_gmres(m, p, opts));
-      elapsed.push_back(m.clock().elapsed());
-    }
+  for (const int workers : {0, 2}) {
+    Machine m(ng);
+    m.set_topology(2, 2);
+    m.set_host_workers(workers);
+    results.push_back(core::ca_gmres(m, p, opts));
+    elapsed.push_back(m.clock().elapsed());
   }
-  // Within a mode: everything identical, including the charged clock.
-  for (const std::size_t base : {std::size_t{0}, std::size_t{2}}) {
-    EXPECT_EQ(results[base].x, results[base + 1].x);
-    EXPECT_EQ(results[base].stats.time_total, results[base + 1].stats.time_total);
-    EXPECT_EQ(results[base].stats.residual_history,
-              results[base + 1].stats.residual_history);
-    EXPECT_EQ(elapsed[base], elapsed[base + 1]);
-  }
-  // Across modes: same arithmetic, so x matches bitwise; event sync may
-  // only ever remove charged blocking.
-  EXPECT_EQ(results[0].x, results[2].x);
-  EXPECT_EQ(results[0].stats.iterations, results[2].stats.iterations);
-  EXPECT_LE(results[2].stats.time_total, results[0].stats.time_total);
+  EXPECT_TRUE(results[0].stats.converged);
+  EXPECT_EQ(results[0].x, results[1].x);
+  EXPECT_EQ(results[0].stats.time_total, results[1].stats.time_total);
+  EXPECT_EQ(results[0].stats.residual_history,
+            results[1].stats.residual_history);
+  EXPECT_EQ(elapsed[0], elapsed[1]);
 }
 
-TEST(HierReduce, SolversByteIdenticalAcrossKnobModeWorkersAndShapes) {
+TEST(HierReduce, SolversByteIdenticalAcrossKnobWorkersAndShapes) {
   // The hierarchical two-stage collectives (DESIGN §13) only move charges,
   // never bits: for GMRES and CA-GMRES, at 2x2 and 2x4, x must match
-  // bitwise across {flat, hier} x {barrier, event} x {0, 2 workers} — the
-  // grouped fold tree is a pure function of the charge sequence, and the
-  // leader stages are busy-normalized so even the fold permutation is
-  // knob-invariant. At the deeper shape the hierarchical fold must also
+  // bitwise across {flat, hier} x {0, 2 workers} — the grouped fold tree is
+  // a pure function of the charge sequence, and the leader stages are
+  // busy-normalized so even the fold permutation is knob-invariant. At the deeper shape the hierarchical fold must also
   // charge less: that is the whole point of shipping one message per node.
   const auto a = sparse::make_laplace3d(10, 10, 10, 0.05);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
@@ -415,33 +404,29 @@ TEST(HierReduce, SolversByteIdenticalAcrossKnobModeWorkersAndShapes) {
     for (const bool ca : {false, true}) {
       std::vector<double> x0;
       bool first = true;
-      double flat_event = 0.0, hier_event = 0.0;
+      double flat_seconds = 0.0, hier_seconds = 0.0;
       for (const bool hier : {false, true}) {
-        for (const SyncMode mode : {SyncMode::kBarrier, SyncMode::kEvent}) {
-          for (const int workers : {0, 2}) {
-            Machine m(Topology{nodes, gpn});
-            m.set_hier_reduce(hier);
-            m.set_sync_mode(mode);
-            m.set_host_workers(workers);
-            const core::SolveResult r = ca ? core::ca_gmres(m, p, opts)
-                                           : core::gmres(m, p, opts);
-            if (first) {
-              x0 = r.x;
-              first = false;
-            } else {
-              EXPECT_EQ(r.x, x0)
-                  << (ca ? "ca_gmres" : "gmres") << " " << nodes << "x" << gpn
-                  << " hier=" << hier << " event="
-                  << (mode == SyncMode::kEvent) << " workers=" << workers;
-            }
-            if (mode == SyncMode::kEvent && workers == 0) {
-              (hier ? hier_event : flat_event) = m.clock().elapsed();
-            }
+        for (const int workers : {0, 2}) {
+          Machine m(Topology{nodes, gpn});
+          m.set_hier_reduce(hier);
+          m.set_host_workers(workers);
+          const core::SolveResult r = ca ? core::ca_gmres(m, p, opts)
+                                         : core::gmres(m, p, opts);
+          if (first) {
+            x0 = r.x;
+            first = false;
+          } else {
+            EXPECT_EQ(r.x, x0)
+                << (ca ? "ca_gmres" : "gmres") << " " << nodes << "x" << gpn
+                << " hier=" << hier << " workers=" << workers;
+          }
+          if (workers == 0) {
+            (hier ? hier_seconds : flat_seconds) = m.clock().elapsed();
           }
         }
       }
       if (gpn >= 4) {
-        EXPECT_LT(hier_event, flat_event)
+        EXPECT_LT(hier_seconds, flat_seconds)
             << (ca ? "ca_gmres" : "gmres") << " at " << nodes << "x" << gpn;
       }
     }
@@ -560,14 +545,10 @@ TEST(Machine, HostWorkerCountComesFromEnvOrApi) {
   EXPECT_EQ(m.host_workers(), 0);
 }
 
-/// The engine's core guarantee (ISSUE 3, extended by ISSUE 4 to both sync
-/// modes): identical RESULTS and identical SIMULATED TIMES for any worker
-/// count, because charging happens on the calling thread in program order
-/// and only pure numeric closures move to the pool. Exact ==, modeled on
-/// the ZeroFault byte-identity tests. Across modes the numerics are the
-/// same arithmetic in the same order, so x must also match bitwise — while
-/// the event-mode charged time must not exceed the barrier-mode time (a
-/// per-buffer wait can only remove charged blocking, never add it).
+/// The engine's core guarantee: identical RESULTS and identical SIMULATED
+/// TIMES for any worker count, because charging happens on the calling
+/// thread in program order and only pure numeric closures move to the
+/// pool. Exact ==, modeled on the ZeroFault byte-identity tests.
 TEST(Machine, SolveIsByteIdenticalForAnyWorkerCount) {
   const auto a = sparse::make_laplace2d(24, 24, 0.1, 0.02);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
@@ -580,32 +561,24 @@ TEST(Machine, SolveIsByteIdenticalForAnyWorkerCount) {
   opts.tol = 1e-6;
   opts.max_restarts = 400;
 
-  std::vector<core::SolveResult> mode_ref;
-  for (const SyncMode mode : {SyncMode::kBarrier, SyncMode::kEvent}) {
-    std::vector<core::SolveResult> results;
-    std::vector<double> elapsed;
-    for (const int workers : {0, 1, 2, ng}) {
-      Machine m(ng);
-      m.set_sync_mode(mode);
-      m.set_host_workers(workers);
-      results.push_back(core::ca_gmres(m, p, opts));
-      elapsed.push_back(m.clock().elapsed());
-    }
-    const core::SolveStats& ref = results[0].stats;
-    for (std::size_t i = 1; i < results.size(); ++i) {
-      const core::SolveStats& st = results[i].stats;
-      EXPECT_EQ(ref.time_total, st.time_total) << "workers case " << i;
-      EXPECT_EQ(ref.iterations, st.iterations);
-      EXPECT_EQ(ref.restarts, st.restarts);
-      EXPECT_EQ(ref.residual_history, st.residual_history);
-      EXPECT_EQ(results[0].x, results[i].x);
-      EXPECT_EQ(elapsed[0], elapsed[i]);
-    }
-    mode_ref.push_back(results[0]);
+  std::vector<core::SolveResult> results;
+  std::vector<double> elapsed;
+  for (const int workers : {0, 1, 2, ng}) {
+    Machine m(ng);
+    m.set_host_workers(workers);
+    results.push_back(core::ca_gmres(m, p, opts));
+    elapsed.push_back(m.clock().elapsed());
   }
-  EXPECT_EQ(mode_ref[0].x, mode_ref[1].x);  // bitwise across sync modes
-  EXPECT_EQ(mode_ref[0].stats.iterations, mode_ref[1].stats.iterations);
-  EXPECT_LE(mode_ref[1].stats.time_total, mode_ref[0].stats.time_total);
+  const core::SolveStats& ref = results[0].stats;
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    const core::SolveStats& st = results[i].stats;
+    EXPECT_EQ(ref.time_total, st.time_total) << "workers case " << i;
+    EXPECT_EQ(ref.iterations, st.iterations);
+    EXPECT_EQ(ref.restarts, st.restarts);
+    EXPECT_EQ(ref.residual_history, st.residual_history);
+    EXPECT_EQ(results[0].x, results[i].x);
+    EXPECT_EQ(elapsed[0], elapsed[i]);
+  }
 }
 
 TEST(Machine, PipelinedSolveIsByteIdenticalForAnyWorkerCount) {
@@ -805,7 +778,6 @@ TEST(Machine, EventSolveSurvivesDeviceKillWithTwoWorkers) {
   opts.max_restarts = 400;
 
   Machine machine(3);
-  machine.set_sync_mode(SyncMode::kEvent);
   machine.set_host_workers(2);
   parse_fault_spec("kill:d1@op=400", machine.fault_injector());
   const core::SolveResult res = core::ca_gmres(machine, p, opts);

@@ -1,9 +1,8 @@
 // Chaos campaign driver (see src/sim/chaos.hpp and DESIGN.md §11).
 //
 // Default: generate --schedules randomized fault schedules from --seed, run
-// each over {barrier, event} x {0, 2 host workers} alternating over the
-// --solver roster (CA-GMRES, GMRES, pipelined GMRES), and check the
-// invariant oracle. Any violation is delta-debugged to a minimal reproducer
+// each over {0, 2 host workers} alternating over the --solver roster
+// (CA-GMRES, GMRES, pipelined GMRES), and check the invariant oracle. Any violation is delta-debugged to a minimal reproducer
 // and printed as a --faults spec. Exit code 1 when violations were found,
 // 2 on a malformed option or --faults spec.
 //
@@ -26,23 +25,10 @@ using cagmres::sim::ChaosRunner;
 using cagmres::sim::ChaosSchedule;
 using cagmres::sim::ChaosSolver;
 using cagmres::sim::ChaosViolation;
-using cagmres::sim::SyncMode;
-
-std::vector<SyncMode> parse_modes(const std::string& s) {
-  if (s == "barrier") return {SyncMode::kBarrier};
-  if (s == "event") return {SyncMode::kEvent};
-  CAGMRES_REQUIRE(s == "both", "--modes must be barrier, event, or both");
-  return {SyncMode::kBarrier, SyncMode::kEvent};
-}
-
-const char* mode_name(SyncMode m) {
-  return m == SyncMode::kBarrier ? "barrier" : "event";
-}
 
 void print_violation(const ChaosViolation& v) {
-  std::printf("VIOLATION schedule=%d solver=%s mode=%s workers=%d\n",
-              v.schedule_index, to_string(v.solver).c_str(),
-              mode_name(v.mode), v.workers);
+  std::printf("VIOLATION schedule=%d solver=%s workers=%d\n",
+              v.schedule_index, to_string(v.solver).c_str(), v.workers);
   std::printf("  what: %s\n  spec: %s\n", v.what.c_str(), v.spec.c_str());
 }
 
@@ -61,7 +47,6 @@ int main(int argc, char** argv) {
            "paper-matrix analog instead of the Laplacian: cant | g3_circuit "
            "| dielfilter | nlpkkt");
   opts.add("matrix-scale", "1.0", "size scale for --matrix");
-  opts.add("modes", "both", "sync modes to cover: barrier | event | both");
   opts.add("workers", "0,2", "host worker counts to cover");
   opts.add("solver", "ca,gmres,pipelined",
            "comma list of ca | gmres | pipelined (alternate by index)");
@@ -95,7 +80,6 @@ int main(int argc, char** argv) {
     cfg.min_devices = opts.get_int("min-devices");
     cfg.degrade_to_cpu = opts.get_bool("degrade");
     cfg.deadline_factor = opts.get_double("deadline-factor");
-    cfg.modes = parse_modes(opts.get("modes"));
     cfg.worker_counts = opts.get_int_list("workers");
     cfg.demo_bug_kills = opts.get_int("demo-bug-kills");
     cfg.solvers = cagmres::sim::parse_chaos_solvers(opts.get("solver"));
