@@ -24,9 +24,11 @@
 #               must exist at all, and on at least one of them the best
 #               ILU row must also charge a lower total (setup + solve)
 #               than the capped run.
-#               A JSON missing a section (e.g. an older baseline written
-#               before that section existed) only warns; the remaining
-#               gates still run.
+#               Every gate runs even after one fails: each failure is
+#               printed as it is found, all of them are listed again at the
+#               end, and the stage then fails once. A JSON missing a section
+#               (e.g. an older baseline written before that section
+#               existed) only warns; the remaining gates still run.
 #               Then, whether or not those gates passed, the new JSON is
 #               diffed against the committed baseline (git show
 #               HEAD:BENCH_wallclock.json): every simulated-seconds row
@@ -71,6 +73,14 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 
+# Every gate runs: a failure is recorded and reported at the end, so one
+# red gate never hides the verdict of the gates after it.
+failures = []
+
+def fail(msg):
+    print(f"compare FAIL: {msg}")
+    failures.append(msg)
+
 def warn_missing(name):
     # Older baselines predate some sections; a missing one is a warning,
     # not a gate failure, so comparisons against old JSONs keep working.
@@ -88,12 +98,12 @@ for row in kills:
     # full size with or without faults (see ROADMAP's preconditioning item).
     # The gate is the charged-cost story: partner restore must win at scale.
     if row["ng"] >= 16 and not row.get("partner_cheaper"):
-        sys.exit(
-            "compare: partner checkpoint lost to host-checkpoint restart "
+        fail(
+            "partner checkpoint lost to host-checkpoint restart "
             f"at ng={row['ng']}: partner {row['partner_sim_seconds']:.6f}s "
             f"vs host {row['host_sim_seconds']:.6f}s"
         )
-for row in kills:
+        continue
     print(
         f"compare OK: ng={row['ng']} node-kill partner "
         f"{row['partner_sim_seconds']:.6f}s vs host "
@@ -108,27 +118,29 @@ if not hier:
     warn_missing("hier_reduce")
     hier = []
 for row in hier:
+    n_failed = len(failures)
     if not row.get("identical_results"):
-        sys.exit(f"compare: hier and flat folds produced different x: {row}")
+        fail(f"hier and flat folds produced different x: {row}")
     if not row.get("at_most_one_msg_per_node"):
-        sys.exit(
-            "compare: reduction sent more than one inter-node message per "
+        fail(
+            "reduction sent more than one inter-node message per "
             f"node: {row}"
         )
     if row["ng"] >= 16 and not row.get("hier_cheaper"):
-        sys.exit(
-            "compare: hierarchical fold lost to flat fold at "
+        fail(
+            "hierarchical fold lost to flat fold at "
             f"ng={row['ng']}: hier {row['hier_sim_seconds']:.6f}s vs "
             f"flat {row['flat_sim_seconds']:.6f}s"
         )
-    print(
-        f"compare OK: ng={row['ng']} ({row['nodes']} nodes) hier "
-        f"{row['hier_sim_seconds']:.6f}s vs flat "
-        f"{row['flat_sim_seconds']:.6f}s "
-        f"(speedup {row['speedup']:.4f}x, "
-        f"reduction net msgs {row['flat_reduction_net_msgs']} -> "
-        f"{row['hier_reduction_net_msgs']})"
-    )
+    if len(failures) == n_failed:
+        print(
+            f"compare OK: ng={row['ng']} ({row['nodes']} nodes) hier "
+            f"{row['hier_sim_seconds']:.6f}s vs flat "
+            f"{row['flat_sim_seconds']:.6f}s "
+            f"(speedup {row['speedup']:.4f}x, "
+            f"reduction net msgs {row['flat_reduction_net_msgs']} -> "
+            f"{row['hier_reduction_net_msgs']})"
+        )
 
 comp = doc.get("compress")
 if not comp:
@@ -136,24 +148,27 @@ if not comp:
     comp = []
 base = next((r for r in comp if r["codec"] == "none"), None)
 if comp and base is None:
-    sys.exit("compare: compress section has no uncoded baseline row")
+    fail("compress section has no uncoded baseline row")
+    comp = []
 for row in comp:
     if row is base:
         continue
     # Every coded run must ship strictly fewer bytes over the inter-node
     # network than the uncoded baseline...
     if row["net_bytes"] >= base["net_bytes"]:
-        sys.exit(
-            f"compare: codec '{row['codec']}' did not shrink net bytes: "
+        fail(
+            f"codec '{row['codec']}' did not shrink net bytes: "
             f"{row['net_bytes']:.0f} vs {base['net_bytes']:.0f}"
         )
+        continue
     # ...and stay within the convergence health budget: quantized wires may
     # cost extra restarts, but may not unconverge a converging shape.
     if base["converged"] and not row["converged"]:
-        sys.exit(
-            f"compare: codec '{row['codec']}' broke convergence "
+        fail(
+            f"codec '{row['codec']}' broke convergence "
             f"(baseline converged, coded run did not)"
         )
+        continue
     print(
         f"compare OK: codec '{row['codec']}' net bytes "
         f"{base['net_bytes']:.3g} -> {row['net_bytes']:.3g} "
@@ -174,10 +189,12 @@ rescued = 0
 for matrix, rows in by_matrix.items():
     none = rows.get("none")
     if none is None:
-        sys.exit(f"compare: precond section has no 'none' row for {matrix}")
+        fail(f"precond section has no 'none' row for {matrix}")
+        continue
     ilus = [rows[k] for k in ("ilu0", "ilu1") if k in rows]
     if not ilus:
-        sys.exit(f"compare: precond section has no ILU rows for {matrix}")
+        fail(f"precond section has no ILU rows for {matrix}")
+        continue
     if none["converged"]:
         continue
     # This shape exhausted its unpreconditioned iteration budget: some ILU
@@ -191,14 +208,15 @@ for matrix, rows in by_matrix.items():
         if r["converged"] and r["iterations"] < none["iterations"]
     ]
     if not winners:
-        sys.exit(
-            f"compare: no ILU row converges the capped shape {matrix} in "
+        fail(
+            f"no ILU row converges the capped shape {matrix} in "
             f"fewer iterations: none it={none['iterations']} vs "
             + "; ".join(
                 f"{r['precond']} it={r['iterations']} "
                 f"converged={r['converged']}" for r in ilus
             )
         )
+        continue
     best = min(winners, key=lambda r: r["total_sim_seconds"])
     cheaper = best["total_sim_seconds"] < none["total_sim_seconds"]
     if cheaper:
@@ -213,15 +231,21 @@ for matrix, rows in by_matrix.items():
         f"{', cheaper' if cheaper else ', dearer per-shape'})"
     )
 if pre and capped == 0:
-    sys.exit(
-        "compare: precond section has no budget-capped unpreconditioned "
+    fail(
+        "precond section has no budget-capped unpreconditioned "
         "shape — the ILU gate never engaged"
     )
 if pre and capped > 0 and rescued == 0:
-    sys.exit(
-        "compare: ILU converged every capped shape but never beat the "
+    fail(
+        "ILU converged every capped shape but never beat the "
         "unpreconditioned charged total on any of them"
     )
+
+if failures:
+    print(f"compare: {len(failures)} section gate(s) failed:")
+    for msg in failures:
+        print(f"  - {msg}")
+    sys.exit(1)
 EOF
   echo
   echo "== compare: diff against the committed baseline (HEAD) =="

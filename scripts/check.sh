@@ -3,12 +3,12 @@
 # sanitize-labeled suites rebuilt and rerun under asan-ubsan, and the
 # tsan-labeled suites (the host execution engine's concurrency tests) under
 # thread sanitizer with the worker pool active. Escape-hatch reruns cover
-# a forced 2-node topology, the compressed-wire codec layer
-# (CAGMRES_COMPRESS), and the ILU preconditioner suite under tsan. Run from
-# anywhere; everything happens
-# relative to the repo root. Every ctest call passes --no-tests=error, so a
-# label or -R filter that selects nothing fails the gate instead of
-# passing with zero tests run.
+# a forced 2-node topology and the compressed-wire codec layer
+# (CAGMRES_COMPRESS); the ILU preconditioner suite and sim_test rerun in
+# the default build with OpenMP teams inside the workers. Run from
+# anywhere; everything happens relative to the repo root. Every ctest call
+# passes --no-tests=error, so a label or -R filter that selects nothing
+# fails the gate instead of passing with zero tests run.
 #
 #   --bench-smoke   additionally run the wall-clock bench at tiny sizes and
 #                   fail unless it produces well-formed BENCH_wallclock.json
@@ -69,13 +69,16 @@ CAGMRES_COMPRESS=halo=fp32,reduce=fp32 CAGMRES_HOST_WORKERS=2 \
   ctest --no-tests=error --preset tsan -j
 
 echo
-echo "== precond escape hatch: precond suite, tsan =="
-# The ILU(k) handle subsystem (DESIGN §15): the level-scheduled trisolves
-# run one OpenMP-parallel kernel per level on device streams the worker
-# pool drains, so the suite must stay race-free under tsan with 2 workers
-# — and bit-stable, which the suite itself asserts.
-CAGMRES_HOST_WORKERS=2 \
-  ctest --no-tests=error --preset tsan -L precond -j
+echo "== OpenMP teams inside workers: precond suite + sim_test, default build =="
+# The level-scheduled trisolves (DESIGN §15) and the other host kernels run
+# OpenMP regions inside HostPool workers. The tsan preset builds without
+# OpenMP, so this stage uses the default build: with a 4-thread owner team
+# and 2 workers each worker runs a 2-thread team (the DESIGN §9 thread
+# budget), and the suites assert bit-stable results under it.
+CAGMRES_HOST_WORKERS=2 OMP_NUM_THREADS=4 \
+  ctest --no-tests=error --preset default -L precond -j
+CAGMRES_HOST_WORKERS=2 OMP_NUM_THREADS=4 \
+  ctest --no-tests=error --preset default -R '^sim_test$' -j
 
 echo
 echo "== chaos gate: 64-schedule campaign, default build =="

@@ -50,8 +50,18 @@ detail::CycleReport PipelinedCycle::run(detail::RestartContext& ctx) {
   // before this frame unwinds.
   sim::UnwindDrainGuard unwind_guard(machine);
 
+  // Preconditioned products alternate between stage columns 2 and 3. The
+  // halo exchange of a product runs closures on consumer streams that read
+  // the owners' stage column in place, and only the next iteration's
+  // reduction wait joins them — after the following product is enqueued.
+  // One shared column would let that product's trisolve overwrite rows a
+  // peer's parked closure still reads (the write-after-read hazard
+  // generate_by_spmv avoids in cagmres.cpp). Columns 0 and 1 stay free
+  // for update_solution.
+  const auto stage_col = [](int product) { return 2 + product % 2; };
+
   // Prime the pipeline: z_0 = A v_0 (A M^{-1} v_0 preconditioned).
-  detail::apply_operator(machine, ctx.spmv, pc, v, 0, z, 0);
+  detail::apply_operator(machine, ctx.spmv, pc, v, 0, z, 0, 4, stage_col(0));
 
   blas::GivensLS ls(mm, ctx.beta);
   int k = 0;
@@ -80,7 +90,8 @@ detail::CycleReport PipelinedCycle::run(detail::RestartContext& ctx) {
     //     overlapping the reduction wait. The trisolve is device-local,
     //     so it overlaps the in-flight reduction messages the same way.
     if (j + 1 <= mm) {
-      detail::apply_operator(machine, ctx.spmv, pc, z, j, z, j + 1);
+      detail::apply_operator(machine, ctx.spmv, pc, z, j, z, j + 1, 4,
+                             stage_col(j + 1));
     }
 
     // (3) The host waits only for the reduction messages, not the SpMV.

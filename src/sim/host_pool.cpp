@@ -1,5 +1,11 @@
 #include "sim/host_pool.hpp"
 
+#include <algorithm>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace cagmres::sim {
 
 namespace {
@@ -47,9 +53,20 @@ void HostPool::spawn(int n_workers) {
       static_cast<std::size_t>(n_workers));
   for (int w = 0; w < n_workers; ++w) wstate_[w].store(kAwake, kRelaxed);
   threads_.reserve(static_cast<std::size_t>(n_workers));
+  // Thread budget (DESIGN §9): the workers split the calling (owner)
+  // thread's OpenMP team evenly. A thread OpenMP did not create starts with
+  // the process default team, not the owner's, so each worker sets its own
+  // share before it runs a closure.
+#ifdef _OPENMP
+  const int team = std::max(1, omp_get_max_threads() / std::max(1, n_workers));
+#endif
   for (int w = 0; w < n_workers; ++w) {
-    threads_.emplace_back(
-        [this, w] { worker_main(static_cast<std::size_t>(w)); });
+    threads_.emplace_back([=, this] {
+#ifdef _OPENMP
+      omp_set_num_threads(team);
+#endif
+      worker_main(static_cast<std::size_t>(w));
+    });
   }
 }
 

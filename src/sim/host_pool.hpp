@@ -79,7 +79,9 @@ class HostPool {
   int n_streams() const { return n_streams_; }
 
   /// Drains, joins the current workers, and respawns `n_workers` of them
-  /// (0 = run everything inline on the calling thread).
+  /// (0 = run everything inline on the calling thread). Like the
+  /// constructor, a respawn re-reads the calling thread's OpenMP team and
+  /// gives each worker an even share of it (at least one thread).
   void resize(int n_workers);
 
   /// Appends a task to `stream`. With zero workers the task runs inline and

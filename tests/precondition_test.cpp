@@ -1,5 +1,6 @@
 // Tests for the preconditioner layer: the spec-based drivers
 // (core/precondition.hpp) and the ILU(k) handle subsystem (src/precond/).
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -8,6 +9,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "blas/blas1.hpp"
 #include "codec_tol.hpp"
@@ -501,6 +505,84 @@ TEST(IluPrecond, BitwiseIdenticalAcrossWorkersAndShapes) {
       }
     }
   }
+}
+
+/// Sets the calling thread's OpenMP team (a no-op without OpenMP) and
+/// returns the previous size.
+int set_owner_team(int n) {
+#ifdef _OPENMP
+  const int prev = omp_get_max_threads();
+  omp_set_num_threads(n);
+  return prev;
+#else
+  (void)n;
+  return 1;
+#endif
+}
+
+int widest_level(const LevelSchedule& s) {
+  int w = 0;
+  for (int l = 0; l < s.levels(); ++l) w = std::max(w, s.level_rows(l));
+  return w;
+}
+
+TEST(IluPrecond, BitwiseIdenticalWithOpenMpTeamsInsideWorkers) {
+  // With workers, each trisolve closure runs on a HostPool worker whose
+  // OpenMP team is an even share of the owner's (DESIGN §9 thread budget),
+  // so an owner team of 4 over 2 workers gives every worker a 2-thread
+  // team. The scrambled circuit analog has shallow, wide level schedules:
+  // every device holds a level above the sweep's OpenMP threshold
+  // (1 << 10 rows), so the parallel branch really runs inside a worker.
+  // The multi-chain contract makes x, the residual history and the clock
+  // identical for any team size and worker count.
+  const sparse::CsrMatrix a = sparse::make_circuit_like(0.35);
+  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
+  const int ng = 2;
+  const Problem p = make_problem(a, b, ng, graph::Ordering::kKway, true, 1);
+  const PrecondSpec spec = parse_precond_spec("ilu:k=0");
+  {
+    sim::Machine m(ng);
+    PrecondHandle h(spec);
+    h.build(m, p.a, p.offsets);
+    for (int d = 0; d < ng; ++d) {
+      const DeviceFactor& f = h.factor(d);
+      ASSERT_GT(std::max(widest_level(f.l_sched), widest_level(f.u_sched)),
+                1 << 10)
+          << "device " << d;
+    }
+  }
+  // One capped restart cycle: bit-identity needs no convergence, and 10
+  // iterations keep the four solves cheap even on a loaded machine.
+  SolverOptions opts;
+  opts.m = 10;
+  opts.tol = 1e-8;
+  opts.max_restarts = 1;
+
+  const int saved = set_owner_team(1);
+  std::vector<double> x0;
+  std::vector<double> hist0;
+  double clock0 = 0.0;
+  bool first = true;
+  for (const int owner : {1, 4}) {
+    for (const int workers : {0, 2}) {
+      set_owner_team(owner);
+      sim::Machine m(ng);
+      m.set_host_workers(workers);
+      const IluPreconditionedResult r = preconditioned_gmres(m, p, opts, spec);
+      ASSERT_GT(r.solve.stats.iterations, 0);
+      if (first) {
+        x0 = r.solve.x;
+        hist0 = r.solve.stats.residual_history;
+        clock0 = m.clock().elapsed();
+        first = false;
+      } else {
+        EXPECT_EQ(r.solve.x, x0) << "owner=" << owner << " workers=" << workers;
+        EXPECT_EQ(r.solve.stats.residual_history, hist0);
+        EXPECT_EQ(m.clock().elapsed(), clock0);
+      }
+    }
+  }
+  set_owner_team(saved);
 }
 
 TEST(IluPrecond, BitwiseIdenticalUnderInjectedKernelNan) {

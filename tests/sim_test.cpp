@@ -11,6 +11,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "blas/blas1.hpp"
 #include "common/error.hpp"
@@ -535,6 +538,58 @@ TEST(HostPool, ResizeDrainsThenChangesWorkerCount) {
   pool.resize(0);
   pool.enqueue(0, [&] { ++ran; });
   EXPECT_EQ(ran, 17);  // back to inline serial mode
+}
+
+#ifdef _OPENMP
+/// The OpenMP team size a closure sees on each of the pool's streams.
+std::vector<int> stream_teams(HostPool& pool) {
+  std::vector<int> team(static_cast<std::size_t>(pool.n_streams()), 0);
+  for (int s = 0; s < pool.n_streams(); ++s) {
+    pool.enqueue(s, [&team, s] {
+      team[static_cast<std::size_t>(s)] = omp_get_max_threads();
+    });
+  }
+  pool.drain_all();
+  return team;
+}
+#endif
+
+TEST(HostPool, WorkerTeamSplitsOwnerBudget) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  // The thread budget rule (DESIGN §9): each worker's team is the owner's
+  // team split evenly, at least one thread, captured at spawn and resize.
+  // The owner's team is set explicitly so OMP_NUM_THREADS cannot mask a
+  // worker that kept the process default team.
+  const int saved = omp_get_max_threads();
+  const auto all = [](int t) { return std::vector<int>(3, t); };
+  omp_set_num_threads(7);
+  {
+    HostPool pool(3, 1);
+    EXPECT_EQ(stream_teams(pool), all(7));
+  }
+  {
+    HostPool pool(3, 2);
+    EXPECT_EQ(stream_teams(pool), all(3));
+    pool.resize(1);
+    EXPECT_EQ(stream_teams(pool), all(7));
+    omp_set_num_threads(4);  // the owner's team as of the next resize
+    pool.resize(2);
+    EXPECT_EQ(stream_teams(pool), all(2));
+  }
+  omp_set_num_threads(1);
+  {
+    HostPool pool(3, 3);
+    EXPECT_EQ(stream_teams(pool), all(1));
+  }
+  omp_set_num_threads(5);
+  {
+    HostPool pool(3, 0);  // inline: closures run with the owner's team
+    EXPECT_EQ(stream_teams(pool), all(5));
+  }
+  omp_set_num_threads(saved);
+#endif
 }
 
 TEST(Machine, HostWorkerCountComesFromEnvOrApi) {
